@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Subcommands: train, fold, verify, compress, bench, schedule. ``verify``
-exits 0 iff no eligible layer violates the pattern. The NMSPARSE_THREADS
-environment variable caps kernel worker parallelism.
+exits 0 iff no eligible layer violates the pattern. Bad input exits 2 and a
+diverging ``train`` exits 3, each with a one-line ``error:`` message. The
+NMSPARSE_THREADS environment variable caps kernel worker parallelism.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from .archives import (
 )
 from .checkpoint import atomic_write_bytes, load_checkpoint
 from .config import RunConfig
+from .errors import DivergenceError
 from .masks import SparsePattern
 from .schedule import Schedule, delta
 
@@ -205,6 +207,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

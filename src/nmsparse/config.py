@@ -7,7 +7,7 @@ re-parsing a config is the identity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -122,6 +122,9 @@ class RunConfig:
             mode=sched_doc.get("mode", "block_percentage"),
         )
         trainer_doc = dict(doc.get("trainer") or {})
+        unknown = set(trainer_doc) - {f.name for f in fields(TrainerSettings)}
+        if unknown:
+            raise ValueError(f"unknown trainer keys: {sorted(unknown)}")
         if "hidden" in trainer_doc:
             trainer_doc["hidden"] = tuple(trainer_doc["hidden"])
         trainer = TrainerSettings(**trainer_doc)

@@ -8,8 +8,14 @@ magnitude threshold, and the soft mask is b * (1 + filter_score +
 kernel_score), so kept entries live in the open interval (1, 3). Folding
 multiplies the weights by the soft mask, which preserves the N:M support.
 
-Tie-breaking is everywhere "lowest index wins" (stable argsort), so masks
-are bit-reproducible across runs and thread counts.
+Tie-breaking is everywhere "lowest index wins", so masks are
+bit-reproducible across runs and thread counts. Within a block, each entry's
+place in the magnitude order is counted directly: the earlier columns whose
+magnitude is <= its own plus the later columns whose magnitude is < its own.
+That count is exactly the entry's position in a stable argsort of the row,
+without sorting. Blocks are chosen by partitioning their norms at the
+boundary value and taking the lowest-index blocks among those equal to it,
+which again equals the first ``count`` entries of a stable argsort.
 """
 from __future__ import annotations
 
@@ -127,6 +133,25 @@ class AxisScores:
     axis_tag: str
 
 
+def _keep_bits(values: np.ndarray, drop: int) -> np.ndarray:
+    """uint8 (g, m) mask zeroing the ``drop`` smallest |values| of each row,
+    ties to the lowest column; ``values`` must be finite.
+
+    An entry's position in a stable argsort of its row is the number of
+    earlier columns with |v_i| <= |v_j| plus later columns with |v_i| < |v_j|.
+    Counting it takes m(m-1)/2 vectorised compares on contiguous columns.
+    """
+    cols = np.abs(values.T, order="C")
+    m = cols.shape[0]
+    ranks = np.zeros(cols.shape, dtype=np.min_scalar_type(m - 1))
+    for j in range(1, m):
+        for i in range(j):
+            earlier_not_above = cols[i] <= cols[j]
+            ranks[j] += earlier_not_above
+            ranks[i] += ~earlier_not_above
+    return np.greater_equal(ranks.T, drop, order="C").view(np.uint8)
+
+
 def arg_bottom_per_block(bm: BlockMatrix, pattern: SparsePattern) -> np.ndarray:
     """Indices of the m-n smallest |values| per block, each row strictly increasing.
 
@@ -135,8 +160,8 @@ def arg_bottom_per_block(bm: BlockMatrix, pattern: SparsePattern) -> np.ndarray:
     if bm.m != pattern.m:
         raise DimensionError(f"block width {bm.m} does not match pattern {pattern}")
     drop = pattern.m - pattern.n
-    order = np.argsort(np.abs(bm.values), axis=1, kind="stable")
-    return np.sort(order[:, :drop], axis=1)
+    bottom = _keep_bits(bm.values, drop) == 0
+    return np.nonzero(bottom)[1].reshape(bm.g, drop)
 
 
 def select_sparsify_blocks(
@@ -154,12 +179,18 @@ def select_sparsify_blocks(
     if count == 0:
         return np.empty(0, dtype=np.int64)
     if ordering == "l1_descending":
-        order = np.argsort(-norms, kind="stable")
+        keys = -norms
     elif ordering == "l1_ascending":
-        order = np.argsort(norms, kind="stable")
+        keys = norms
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
-    return np.sort(order[:count]).astype(np.int64)
+    if count == norms.size:
+        return np.arange(count, dtype=np.int64)
+    boundary = np.partition(keys, count - 1)[count - 1]
+    chosen = keys < boundary
+    ties = np.flatnonzero(keys == boundary)
+    chosen[ties[: count - int(chosen.sum())]] = True
+    return np.flatnonzero(chosen).astype(np.int64)
 
 
 def hard_mask(
@@ -169,11 +200,15 @@ def hard_mask(
     ordering: str = "l1_descending",
 ) -> HardMask:
     """All-ones mask with the bottom m-n entries of each selected block zeroed."""
-    bottom = arg_bottom_per_block(bm, pattern)
+    if bm.m != pattern.m:
+        raise DimensionError(f"block width {bm.m} does not match pattern {pattern}")
     chosen = select_sparsify_blocks(block_l1_norms(bm), delta, ordering)
+    drop = pattern.m - pattern.n
+    if chosen.size == bm.g:
+        return HardMask(_keep_bits(bm.values, drop), chosen)
     bits = np.ones((bm.g, bm.m), dtype=np.uint8)
     if chosen.size:
-        bits[chosen[:, None], bottom[chosen]] = 0
+        bits[chosen] = _keep_bits(bm.values[chosen], drop)
     return HardMask(bits, chosen)
 
 
@@ -181,14 +216,10 @@ def hard_mask_top_width(bm: BlockMatrix, kept: int) -> HardMask:
     """Width-ramp variant: every block keeps its ``kept`` largest magnitudes."""
     if not 1 <= kept <= bm.m:
         raise DimensionError(f"kept width {kept} out of range for m={bm.m}")
-    bits = np.ones((bm.g, bm.m), dtype=np.uint8)
     drop = bm.m - kept
     if drop == 0:
-        return HardMask(bits, np.empty(0, dtype=np.int64))
-    order = np.argsort(np.abs(bm.values), axis=1, kind="stable")
-    rows = np.arange(bm.g)[:, None]
-    bits[rows, order[:, :drop]] = 0
-    return HardMask(bits, np.arange(bm.g, dtype=np.int64))
+        return HardMask(np.ones((bm.g, bm.m), dtype=np.uint8), np.empty(0, dtype=np.int64))
+    return HardMask(_keep_bits(bm.values, drop), np.arange(bm.g, dtype=np.int64))
 
 
 def kept_width_from_delta(delta: float, pattern: SparsePattern) -> int:

@@ -11,6 +11,10 @@ decay and pruned coordinates with the sparse-refined coefficient (default
 
     update = grad + [wd * clip(s) + sr * (1 - clip(s))] * w
 
+Kept soft values lie in [1, 3] and pruned ones are 0, so clip(soft, 0, 1) is
+exactly the hard mask and the coefficient is wd on kept and sr on pruned
+coordinates.
+
 Heavyweight momentum is applied to the assembled update. Epoch shuffles
 derive from (seed, epoch), so resuming from a checkpoint replays the exact
 remainder of a run.
@@ -25,9 +29,9 @@ import numpy as np
 
 from . import nn
 from .errors import DivergenceError
-from .masks import HardMask, SoftMask, SparsePattern, build_masks, fold
+from .masks import HardMask, SoftMask, SparsePattern, build_masks
 from .schedule import Schedule, delta as schedule_delta
-from .tensors import WeightTensor4, block_layout_inverse, rearrange_to_blocks
+from .tensors import WeightTensor4, block_layout_inverse
 
 
 @dataclass(frozen=True)
@@ -70,16 +74,6 @@ class TrainConfig:
 
 
 @dataclass(eq=False)
-class StepState:
-    """Per-step mask bundle plus loop counters."""
-
-    masks: dict[str, tuple[HardMask, SoftMask]]
-    delta: float
-    epoch: int
-    iteration: int
-
-
-@dataclass(eq=False)
 class Velocity:
     w: list[np.ndarray]
     b: list[np.ndarray]
@@ -98,7 +92,6 @@ class FitResult:
     metrics: list[dict]
     velocity: Velocity
     iteration: int
-    state: Optional[StepState]
 
 
 def lr_at(config: TrainConfig, epoch: int) -> float:
@@ -140,16 +133,19 @@ def compute_step_masks(
 def effective_weights(
     model: nn.Model, masks: dict[str, tuple[HardMask, SoftMask]], pattern: Optional[SparsePattern]
 ) -> list[np.ndarray]:
-    """Soft-masked weights for eligible layers, raw weights elsewhere."""
-    out = []
-    for layer in model.layers:
-        if layer.name in masks:
-            _, soft = masks[layer.name]
-            bm = rearrange_to_blocks(WeightTensor4(layer.weight), pattern.m)
-            out.append(block_layout_inverse(fold(bm, soft).values, layer.weight.shape))
-        else:
-            out.append(layer.weight)
-    return out
+    """Soft-masked weights for eligible layers, raw weights elsewhere.
+
+    The soft mask's shape fixes the block width, so ``pattern`` is not read.
+    """
+    return [
+        _fold_4d(layer.weight, masks[layer.name][1]) if layer.name in masks else layer.weight
+        for layer in model.layers
+    ]
+
+
+def _fold_4d(weight: np.ndarray, soft: SoftMask) -> np.ndarray:
+    """weight * soft mask, computed in the 4D weight layout."""
+    return weight * block_layout_inverse(soft.values, weight.shape)
 
 
 @dataclass(eq=False)
@@ -193,9 +189,8 @@ def sr_ste_step(
     wd = config.weight_decay
     for i, layer in enumerate(model.layers):
         if layer.name in masks:
-            _, soft = masks[layer.name]
-            gate = block_layout_inverse(np.clip(soft.values, 0.0, 1.0), layer.weight.shape)
-            coeff = wd * gate + sr * (1.0 - gate)
+            hard, _ = masks[layer.name]
+            coeff = np.where(block_layout_inverse(hard.bits, layer.weight.shape), wd, sr)
         else:
             coeff = wd
         update = grads_w[i] + coeff * layer.weight
@@ -229,7 +224,7 @@ def fit(
     history = list(metrics) if metrics else []
     x_all, y_all = dataset.X, dataset.y
     n = len(y_all)
-    state: Optional[StepState] = None
+    masks: dict[str, tuple[HardMask, SoftMask]] = {}
     stop = config.epochs if stop_epoch is None else min(stop_epoch, config.epochs)
     for epoch in range(start_epoch, stop):
         d = schedule_delta(epoch, config.schedule) if config.pattern is not None else 0.0
@@ -250,7 +245,6 @@ def fit(
             sr_ste_step(model, grads, masks, config, lr, velocity)
             loss_sum += loss * len(yb)
             correct += int((nn.predict(cache.logits) == yb).sum())
-            state = StepState(masks, d, epoch, iteration)
             iteration += 1
         row = {
             "epoch": epoch,
@@ -260,8 +254,8 @@ def fit(
             "accuracy": correct / n,
         }
         for layer in model.layers:
-            if state is not None and layer.name in state.masks:
-                hard, _ = state.masks[layer.name]
+            if layer.name in masks:
+                hard, _ = masks[layer.name]
                 sparsity = float((hard.bits == 0).mean())
             else:
                 sparsity = 0.0
@@ -269,7 +263,7 @@ def fit(
         history.append(row)
         if log is not None:
             log(row)
-    return FitResult(model, history, velocity, iteration, state)
+    return FitResult(model, history, velocity, iteration)
 
 
 def final_masks(model: nn.Model, config: TrainConfig, epoch: Optional[int] = None):
@@ -285,18 +279,12 @@ def export_folded(
     model: nn.Model, masks: dict[str, tuple[HardMask, SoftMask]]
 ) -> dict[str, WeightTensor4]:
     """Folded (soft-masked) weights per eligible layer; dense layers verbatim."""
-    out = {}
-    for layer in model.layers:
-        if layer.name in masks:
-            _, soft = masks[layer.name]
-            bm = rearrange_to_blocks(WeightTensor4(layer.weight), soft.m)
-            folded = fold(bm, soft)
-            out[layer.name] = WeightTensor4(
-                block_layout_inverse(folded.values, layer.weight.shape)
-            )
-        else:
-            out[layer.name] = WeightTensor4(layer.weight.copy())
-    return out
+    return {
+        layer.name: WeightTensor4(
+            _fold_4d(layer.weight, masks[layer.name][1]) if layer.name in masks else layer.weight.copy()
+        )
+        for layer in model.layers
+    }
 
 
 def evaluate(

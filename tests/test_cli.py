@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -129,3 +130,25 @@ def test_resume_flag_round_trip(run_dir, tmp_path):
     first = (out / "metrics.csv").read_bytes()
     assert main(["train", "--config", str(cfg_path), "--resume", str(out / "checkpoint.maxq")]) == 0
     assert (out / "metrics.csv").read_bytes() == first
+
+
+def test_cli_rejects_unknown_trainer_keys(run_dir, capsys):
+    cfg_path, _ = run_dir
+    doc = json.loads(cfg_path.read_text())
+    doc["trainer"]["bogus"] = 1
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "error: unknown trainer keys: ['bogus']" in capsys.readouterr().err
+
+
+def test_cli_reports_divergence_with_exit_code_3(run_dir, capsys):
+    cfg_path, out = run_dir
+    doc = json.loads(cfg_path.read_text())
+    doc["trainer"]["learning_rate"] = 1e6
+    cfg_path.write_text(json.dumps(doc))
+    with np.errstate(all="ignore"):
+        code = main(["train", "--config", str(cfg_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert re.search(r"^error: non-finite loss at epoch \d+, iteration \d+$", err, re.M)
+    assert not (out / "checkpoint.maxq").exists()

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nmsparse.errors import DegenerateAxisError, DimensionError
 from nmsparse.masks import (
@@ -462,3 +464,93 @@ def test_build_masks_bit_identical_across_runs():
         out.append((hard.bits.copy(), soft.values.copy()))
     np.testing.assert_array_equal(out[0][0], out[1][0])
     np.testing.assert_array_equal(out[0][1], out[1][1])
+
+
+# ------------------------------- sort-free selection vs stable-argsort reference
+
+def argsort_bottom_reference(values, drop):
+    order = np.argsort(np.abs(values), axis=1, kind="stable")
+    return np.sort(order[:, :drop], axis=1)
+
+
+def argsort_select_reference(norms, delta, ordering):
+    count = math.ceil(norms.size * delta)
+    keys = -norms if ordering == "l1_descending" else norms
+    return np.sort(np.argsort(keys, kind="stable")[:count])
+
+
+def argsort_hard_mask_reference(values, pattern, delta, ordering):
+    bottom = argsort_bottom_reference(values, pattern.m - pattern.n)
+    chosen = argsort_select_reference(np.abs(values).sum(axis=1), delta, ordering)
+    bits = np.ones(values.shape, dtype=np.uint8)
+    bits[chosen[:, None], bottom[chosen]] = 0
+    return bits, chosen
+
+
+def argsort_top_width_reference(values, kept):
+    order = np.argsort(np.abs(values), axis=1, kind="stable")
+    bits = np.ones(values.shape, dtype=np.uint8)
+    bits[np.arange(values.shape[0])[:, None], order[:, : values.shape[1] - kept]] = 0
+    return bits
+
+
+@st.composite
+def tie_heavy_blocks(draw):
+    """(g, m) blocks whose entries take 3-4 magnitudes, with 0.0 and -0.0 among them."""
+    m = draw(st.sampled_from([4, 8, 16]))
+    g = draw(st.integers(1, 24))
+    mags = draw(
+        st.lists(
+            st.floats(min_value=5e-324, max_value=1e6, allow_nan=False, allow_infinity=False),
+            min_size=2,
+            max_size=3,
+            unique=True,
+        )
+    )
+    palette = np.array([0.0, -0.0, *mags, *(-x for x in mags)])
+    picks = draw(hnp.arrays(np.intp, (g, m), elements=st.integers(0, palette.size - 1)))
+    return palette[picks]
+
+
+deltas = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
+orderings = st.sampled_from(["l1_descending", "l1_ascending"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=tie_heavy_blocks(), data=st.data())
+def test_arg_bottom_matches_stable_argsort_on_ties(values, data):
+    m = values.shape[1]
+    n = data.draw(st.integers(1, m - 1))
+    got = arg_bottom_per_block(bm_of(values), SparsePattern(n, m))
+    np.testing.assert_array_equal(got, argsort_bottom_reference(values, m - n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=tie_heavy_blocks(), delta=deltas, ordering=orderings)
+def test_select_blocks_matches_stable_argsort_on_ties(values, delta, ordering):
+    norms = np.abs(values).sum(axis=1)
+    got = select_sparsify_blocks(norms, delta, ordering)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, argsort_select_reference(norms, delta, ordering))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=tie_heavy_blocks(), delta=deltas, ordering=orderings, data=st.data())
+def test_hard_mask_matches_stable_argsort_on_ties(values, delta, ordering, data):
+    m = values.shape[1]
+    pattern = SparsePattern(data.draw(st.integers(1, m - 1)), m)
+    got = hard_mask(bm_of(values), pattern, delta, ordering)
+    bits, chosen = argsort_hard_mask_reference(values, pattern, delta, ordering)
+    assert got.bits.dtype == np.uint8 and got.bits.flags.c_contiguous
+    np.testing.assert_array_equal(got.bits, bits)
+    np.testing.assert_array_equal(got.sparsified, chosen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=tie_heavy_blocks(), data=st.data())
+def test_hard_mask_top_width_matches_stable_argsort_on_ties(values, data):
+    m = values.shape[1]
+    kept = data.draw(st.integers(1, m))
+    got = hard_mask_top_width(bm_of(values), kept)
+    assert got.bits.dtype == np.uint8 and got.bits.flags.c_contiguous
+    np.testing.assert_array_equal(got.bits, argsort_top_width_reference(values, kept))

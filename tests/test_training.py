@@ -325,3 +325,39 @@ def test_metrics_csv_round_trip():
     back = training.parse_metrics_csv(text)
     assert back == rows
     assert training.metrics_to_csv(back) == text
+
+
+def test_sr_ste_step_matches_clipped_soft_interpolation_bit_for_bit():
+    # the update gates decay by clip(soft, 0, 1); kept soft values lie in [1, 3]
+    # and pruned ones are 0, so the gate is the hard mask itself
+    rng = np.random.default_rng(21)
+    for model, mode, delta in (
+        (fresh_model(seed=22, sizes=(2, 32, 32, 2)), "block_percentage", 0.6),
+        (fresh_model(seed=23, sizes=(2, 32, 32, 2)), "block_width", 0.5),
+        (nn.cnn((4, 6, 6), 3, rng, channels=(8, 8)), "block_percentage", 1.0),
+    ):
+        cfg = small_config(schedule=Schedule(0, 6, mode=mode), sr_ste_weight=3e-3, weight_decay=2e-4)
+        model.mark_eligibility(cfg.pattern)
+        masks = training.compute_step_masks(model, cfg, delta)
+        assert masks
+        grads_w = [rng.normal(size=l.weight.shape) for l in model.layers]
+        grads_b = [rng.normal(size=l.bias.shape) for l in model.layers]
+        velocity = training.Velocity(
+            [rng.normal(size=l.weight.shape) for l in model.layers],
+            [rng.normal(size=l.bias.shape) for l in model.layers],
+        )
+        expected_w, expected_v = [], []
+        for i, layer in enumerate(model.layers):
+            coeff = cfg.weight_decay
+            if layer.name in masks:
+                hard, soft = masks[layer.name]
+                np.testing.assert_array_equal(np.clip(soft.values, 0.0, 1.0), hard.bits)
+                gate = block_layout_inverse(np.clip(soft.values, 0.0, 1.0), layer.weight.shape)
+                coeff = cfg.weight_decay * gate + cfg.sr_weight * (1.0 - gate)
+            v = cfg.momentum * velocity.w[i] + (grads_w[i] + coeff * layer.weight)
+            expected_v.append(v)
+            expected_w.append(layer.weight - 0.05 * v)
+        training.sr_ste_step(model, (grads_w, grads_b), masks, cfg, 0.05, velocity)
+        for i, layer in enumerate(model.layers):
+            assert np.array_equal(velocity.w[i], expected_v[i])
+            assert np.array_equal(layer.weight, expected_w[i])
