@@ -58,22 +58,6 @@ class FoldedModel:
             pattern,
         )
 
-    def to_nn_model(self) -> nn.Model:
-        return nn.Model(
-            [
-                nn.Layer(
-                    kind=l.kind,
-                    name=l.name,
-                    weight=l.weight.values.copy(),
-                    bias=l.bias.copy(),
-                    stride=l.stride,
-                    padding=l.padding,
-                    eligible=l.eligible,
-                )
-                for l in self.layers
-            ]
-        )
-
 
 def save_folded_archive(path: str | Path, folded: FoldedModel) -> None:
     manifest = {

@@ -2,8 +2,7 @@
 
 Subcommands: train, fold, verify, compress, bench, schedule. ``verify``
 exits 0 iff no eligible layer violates the pattern. Bad input exits 2 and a
-diverging ``train`` exits 3, each with a one-line ``error:`` message. The
-NMSPARSE_THREADS environment variable caps kernel worker parallelism.
+diverging ``train`` exits 3, each with a one-line ``error:`` message.
 """
 from __future__ import annotations
 
@@ -38,14 +37,16 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = RunConfig.from_file(args.config)
-    result, out_dir = runner.run_training(
-        config,
-        resume_from=args.resume,
-        log=lambda row: print(
-            f"epoch {row['epoch']:>4}  delta {row['delta']:.4f}  lr {row['lr']:.5f}  "
-            f"loss {row['loss']:.5f}  acc {row['accuracy']:.4f}"
-        ),
-    )
+    # a diverging run overflows before fit sees the non-finite loss and raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        result, out_dir = runner.run_training(
+            config,
+            resume_from=args.resume,
+            log=lambda row: print(
+                f"epoch {row['epoch']:>4}  delta {row['delta']:.4f}  lr {row['lr']:.5f}  "
+                f"loss {row['loss']:.5f}  acc {row['accuracy']:.4f}"
+            ),
+        )
     final = result.metrics[-1]
     print(f"\nfinal loss {final['loss']:.5f}, accuracy {final['accuracy']:.4f}")
     print(f"checkpoint: {out_dir / 'checkpoint.maxq'}")

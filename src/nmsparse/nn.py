@@ -41,10 +41,6 @@ class Layer:
 class Model:
     layers: list[Layer] = field(default_factory=list)
 
-    @property
-    def layer_names(self) -> list[str]:
-        return [layer.name for layer in self.layers]
-
     def parameter_count(self) -> int:
         return sum(l.weight.size + l.bias.size for l in self.layers)
 

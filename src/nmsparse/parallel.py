@@ -1,4 +1,9 @@
-"""Worker-count control for kernel parallelism."""
+"""Reader of the NMSPARSE_THREADS environment variable.
+
+The library no longer uses it: the kernels run on one thread. It is kept
+only because ``perfbench/run.py`` stamps ``max_workers()`` into each run's
+environment record as ``spmm_workers``.
+"""
 import os
 
 ENV_VAR = "NMSPARSE_THREADS"

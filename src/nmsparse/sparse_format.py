@@ -3,7 +3,8 @@
 Each block stores exactly n single-precision values plus n column indices;
 indices are bit-packed at ceil(log2 m) bits each in the serialized form.
 Under-full blocks are padded with explicit zeros at the smallest free
-indices so every compliant tensor is representable.
+indices so every compliant tensor is representable. The kernels multiply
+through a scipy CSR matrix built once per tensor.
 
 Serialized layout (little-endian): magic ``NMSP``, version u16, n u8, m u8,
 origin dims 4 x u32, block count u64, then per block n x f32 values
@@ -11,23 +12,26 @@ followed by the packed index stream, byte-aligned per block.
 """
 from __future__ import annotations
 
-import math
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DimensionError, PatternViolationError
 from .im2col import im2col
 from .masks import SparsePattern
-from .parallel import max_workers
 from .tensors import BlockMatrix, Dims4, WeightTensor4, rearrange_from_blocks, rearrange_to_blocks
 
 MAGIC = b"NMSP"
 VERSION = 1
 _HEADER = struct.Struct("<4sHBB4IQ")
+
+
+def _index_bits(m: int) -> int:
+    """Serialized width of one block index: ceil(log2 m) bits (m >= 2)."""
+    return (m - 1).bit_length()
 
 
 @dataclass(eq=False)
@@ -38,7 +42,7 @@ class CompressedNM:
     origin_dims: Dims4
     values: np.ndarray
     indices: np.ndarray
-    _flat_cols: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
+    _csr: sparse.csr_matrix | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float32)
@@ -64,7 +68,7 @@ class CompressedNM:
 
     @property
     def index_bits(self) -> int:
-        return max(1, math.ceil(math.log2(self.pattern.m)))
+        return _index_bits(self.pattern.m)
 
     @property
     def metadata_bits(self) -> int:
@@ -76,30 +80,29 @@ class CompressedNM:
         c_out, c_in, k_h, k_w = self.origin_dims
         return c_out, c_in * k_h * k_w
 
-    def flat_columns(self) -> np.ndarray:
-        """Column of each stored value in the (c_out, c_in*k_h*k_w) matrix view."""
-        if self._flat_cols is None:
+    def csr(self) -> sparse.csr_matrix:
+        """The (c_out, c_in*k_h*k_w) matrix view in CSR form, built on first use.
+
+        The cache assumes values and indices are not modified afterwards.
+        """
+        if self._csr is None:
+            n, m = self.pattern.n, self.pattern.m
             c_out, c_in, k_h, k_w = self.origin_dims
-            blocks_per_channel_group = c_in // self.pattern.m
-            o, kh, kw, cb = np.unravel_index(
-                np.arange(self.g), (c_out, k_h, k_w, blocks_per_channel_group)
-            )
-            channel = cb[:, None] * self.pattern.m + self.indices.astype(np.int64)
-            self._flat_cols = channel * (k_h * k_w) + (kh * k_w + kw)[:, None]
-        return self._flat_cols
+            _, kh, kw, cb = np.unravel_index(np.arange(self.g), (c_out, k_h, k_w, c_in // m))
+            channel = cb[:, None] * m + self.indices.astype(np.int64)
+            cols = channel * (k_h * k_w) + (kh * k_w + kw)[:, None]
+            indptr = np.arange(c_out + 1) * (c_in // m * k_h * k_w * n)
+            data = self.values.astype(np.float64).ravel()
+            self._csr = sparse.csr_matrix((data, cols.ravel(), indptr), shape=self.matrix_shape)
+        return self._csr
 
     def to_bytes(self) -> bytes:
-        n, m = self.pattern.n, self.pattern.m
-        bits = self.index_bits
-        block_index_bytes = (n * bits + 7) // 8
-        out = bytearray(_HEADER.pack(MAGIC, VERSION, n, m, *self.origin_dims, self.g))
-        for row_vals, row_idx in zip(self.values, self.indices):
-            out += row_vals.tobytes()
-            acc = 0
-            for t, ix in enumerate(row_idx):
-                acc |= int(ix) << (t * bits)
-            out += acc.to_bytes(block_index_bytes, "little")
-        return bytes(out)
+        n, m, bits = self.pattern.n, self.pattern.m, self.index_bits
+        header = _HEADER.pack(MAGIC, VERSION, n, m, *self.origin_dims, self.g)
+        unpacked = np.unpackbits(self.indices[:, :, None], axis=2, count=bits, bitorder="little")
+        packed = np.packbits(unpacked.reshape(self.g, n * bits), axis=1, bitorder="little")
+        value_bytes = np.ascontiguousarray(self.values, dtype="<f4").view(np.uint8)
+        return header + np.concatenate([value_bytes, packed], axis=1).tobytes()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CompressedNM":
@@ -111,22 +114,15 @@ class CompressedNM:
         if version != VERSION:
             raise ValueError(f"unsupported version {version}")
         pattern = SparsePattern(n, m)
-        bits = max(1, math.ceil(math.log2(m)))
-        block_index_bytes = (n * bits + 7) // 8
-        block_bytes = 4 * n + block_index_bytes
+        bits = _index_bits(m)
+        block_bytes = 4 * n + (n * bits + 7) // 8
         expected = _HEADER.size + g * block_bytes
         if len(blob) != expected:
             raise ValueError(f"expected {expected} bytes, got {len(blob)}")
-        values = np.empty((g, n), dtype=np.float32)
-        indices = np.empty((g, n), dtype=np.uint8)
-        mask = (1 << bits) - 1
-        off = _HEADER.size
-        for row in range(g):
-            values[row] = np.frombuffer(blob, dtype="<f4", count=n, offset=off)
-            acc = int.from_bytes(blob[off + 4 * n : off + block_bytes], "little")
-            for t in range(n):
-                indices[row, t] = (acc >> (t * bits)) & mask
-            off += block_bytes
+        body = np.frombuffer(blob, dtype=np.uint8, offset=_HEADER.size).reshape(g, block_bytes)
+        values = np.ascontiguousarray(body[:, : 4 * n]).view("<f4")
+        unpacked = np.unpackbits(body[:, 4 * n :], axis=1, count=n * bits, bitorder="little")
+        indices = np.packbits(unpacked.reshape(g, n, bits), axis=2, bitorder="little")[:, :, 0]
         return cls(pattern, (d0, d1, d2, d3), values, indices)
 
 
@@ -161,37 +157,15 @@ def decompress(c: CompressedNM) -> WeightTensor4:
 def spmm(c: CompressedNM, x: np.ndarray) -> np.ndarray:
     """Multiply the compressed tensor, viewed as (c_out, c_in*k_h*k_w), by x.
 
-    Gathers only stored entries; output rows may be partitioned across
-    worker threads, with per-row arithmetic independent of the partition.
+    Only stored entries are read, through the tensor's cached CSR matrix.
     """
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-    if x.ndim != 2:
+    if x.ndim not in (1, 2):
         raise DimensionError(f"expected a vector or matrix input, got {x.ndim}D")
-    rows, inner = c.matrix_shape
+    inner = c.matrix_shape[1]
     if x.shape[0] != inner:
         raise DimensionError(f"inner dims do not agree: weight {inner}, input {x.shape[0]}")
-    per_row = c.g // rows * c.pattern.n
-    cols = c.flat_columns().reshape(rows, per_row)
-    vals = c.values.astype(np.float64).reshape(rows, per_row)
-    out = np.empty((rows, x.shape[1]), dtype=np.float64)
-
-    def run(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            out[r] = vals[r] @ x[cols[r]]
-
-    workers = min(max_workers(), rows)
-    if workers <= 1:
-        run(0, rows)
-    else:
-        bounds = np.linspace(0, rows, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run, bounds[i], bounds[i + 1]) for i in range(workers)]
-            for f in futures:
-                f.result()
-    return out[:, 0] if squeeze else out
+    return c.csr() @ x
 
 
 def conv2d_sparse(

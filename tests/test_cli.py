@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -146,9 +147,10 @@ def test_cli_reports_divergence_with_exit_code_3(run_dir, capsys):
     doc = json.loads(cfg_path.read_text())
     doc["trainer"]["learning_rate"] = 1e6
     cfg_path.write_text(json.dumps(doc))
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a numpy overflow warning fails the run
         code = main(["train", "--config", str(cfg_path)])
     assert code == 3
     err = capsys.readouterr().err
-    assert re.search(r"^error: non-finite loss at epoch \d+, iteration \d+$", err, re.M)
+    assert re.fullmatch(r"error: non-finite loss at epoch \d+, iteration \d+\n", err)
     assert not (out / "checkpoint.maxq").exists()
