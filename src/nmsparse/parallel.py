@@ -1,19 +1,11 @@
-"""Reader of the NMSPARSE_THREADS environment variable.
+"""Worker count of the sparse kernels.
 
-The library no longer uses it: the kernels run on one thread. It is kept
-only because ``perfbench/run.py`` stamps ``max_workers()`` into each run's
-environment record as ``spmm_workers``.
+The kernels are single-threaded, and nothing in the library imports this
+module. It is kept only because ``perfbench/run.py`` stamps ``max_workers()``
+into each run's environment record as ``spmm_workers``.
 """
-import os
-
-ENV_VAR = "NMSPARSE_THREADS"
 
 
 def max_workers() -> int:
-    """Worker cap from the NMSPARSE_THREADS environment variable (default 1)."""
-    raw = os.environ.get(ENV_VAR, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+    """Number of threads the kernels use: always 1."""
+    return 1

@@ -120,7 +120,7 @@ class CompressedNM:
         if len(blob) != expected:
             raise ValueError(f"expected {expected} bytes, got {len(blob)}")
         body = np.frombuffer(blob, dtype=np.uint8, offset=_HEADER.size).reshape(g, block_bytes)
-        values = np.ascontiguousarray(body[:, : 4 * n]).view("<f4")
+        values = body[:, : 4 * n].copy().view("<f4")
         unpacked = np.unpackbits(body[:, 4 * n :], axis=1, count=n * bits, bitorder="little")
         indices = np.packbits(unpacked.reshape(g, n, bits), axis=2, bitorder="little")[:, :, 0]
         return cls(pattern, (d0, d1, d2, d3), values, indices)

@@ -178,6 +178,8 @@ def test_to_bytes_matches_reference_encoder_and_round_trips(c):
     assert back.pattern == c.pattern and back.origin_dims == c.origin_dims
     assert back.values.tobytes() == c.values.tobytes()
     np.testing.assert_array_equal(back.indices, c.indices)
+    # decoded arrays are owned, never read-only views into the blob
+    assert back.values.flags.writeable and back.indices.flags.writeable
 
 
 @pytest.mark.parametrize("n,m", [(2, 4), (1, 16), (3, 7), (5, 8)])
