@@ -86,23 +86,31 @@ def save_folded_archive(path: str | Path, folded: FoldedModel) -> None:
 
 
 def load_folded_archive(path: str | Path) -> FoldedModel:
-    with np.load(path) as data:
-        manifest = json.loads(bytes(data["manifest"]).decode())
-        if manifest.get("format") != "nmsparse-folded":
-            raise ValueError(f"{path}: not a folded-weight archive")
-        pattern_str = manifest.get("pattern")
-        layers = [
-            FoldedLayer(
-                name=entry["name"],
-                kind=entry["kind"],
-                weight=WeightTensor4(data[f"w_{entry['name']}"]),
-                bias=data[f"b_{entry['name']}"].copy(),
-                eligible=bool(entry["eligible"]),
-                stride=int(entry["stride"]),
-                padding=int(entry["padding"]),
-            )
-            for entry in manifest["layers"]
-        ]
+    """Read a folded archive; malformed bytes raise a ValueError naming the file."""
+    try:
+        with np.load(path) as data:
+            return _read_folded(data)
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: malformed folded archive: {exc}") from exc
+
+
+def _read_folded(data) -> FoldedModel:
+    manifest = json.loads(bytes(data["manifest"]).decode())
+    if manifest.get("format") != "nmsparse-folded":
+        raise ValueError("not a folded-weight archive")
+    pattern_str = manifest.get("pattern")
+    layers = [
+        FoldedLayer(
+            name=entry["name"],
+            kind=entry["kind"],
+            weight=WeightTensor4(data[f"w_{entry['name']}"]),
+            bias=data[f"b_{entry['name']}"].copy(),
+            eligible=bool(entry["eligible"]),
+            stride=int(entry["stride"]),
+            padding=int(entry["padding"]),
+        )
+        for entry in manifest["layers"]
+    ]
     pattern = None if pattern_str is None else SparsePattern.parse(pattern_str)
     return FoldedModel(layers, pattern)
 
@@ -145,16 +153,26 @@ def save_compressed_archive(path: str | Path, folded: FoldedModel, pattern: Spar
 
 
 def load_compressed_archive(path: str | Path) -> list[tuple[dict, CompressedNM | np.ndarray]]:
-    """Yield (manifest entry, CompressedNM or dense f32 array) per layer."""
+    """(manifest entry, CompressedNM or dense f32 array) per layer.
+
+    Malformed bytes raise a ValueError naming the file.
+    """
+    try:
+        with zipfile.ZipFile(path) as zf:
+            return _read_compressed(zf)
+    except (ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: malformed compressed archive: {exc}") from exc
+
+
+def _read_compressed(zf: zipfile.ZipFile) -> list[tuple[dict, CompressedNM | np.ndarray]]:
+    manifest = json.loads(zf.read("manifest.json").decode())
+    if manifest.get("format") != "nmsparse-compressed":
+        raise ValueError("not a compressed archive")
     out = []
-    with zipfile.ZipFile(path) as zf:
-        manifest = json.loads(zf.read("manifest.json").decode())
-        if manifest.get("format") != "nmsparse-compressed":
-            raise ValueError(f"{path}: not a compressed archive")
-        for entry in manifest["layers"]:
-            blob = zf.read(entry["file"])
-            if entry["file"].endswith(".nmsp"):
-                out.append((entry, CompressedNM.from_bytes(blob)))
-            else:
-                out.append((entry, np.load(io.BytesIO(blob))))
+    for entry in manifest["layers"]:
+        blob = zf.read(entry["file"])
+        if entry["file"].endswith(".nmsp"):
+            out.append((entry, CompressedNM.from_bytes(blob)))
+        else:
+            out.append((entry, np.load(io.BytesIO(blob))))
     return out

@@ -27,6 +27,7 @@ MAGIC = b"MAXQCKPT"
 VERSION = 1
 _KIND_CODES = {"conv": 0, "linear": 1}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+_SECTIONS = (b"CFG\x00", b"CTR\x00", b"LYR\x00", b"MET\x00")  # in file order
 
 
 @dataclass(eq=False)
@@ -116,14 +117,14 @@ def _parse_layers(blob: bytes) -> tuple[nn.Model, Velocity]:
 
 
 def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
-    sections = [
-        (b"CFG\x00", ckpt.config.to_json().encode()),
-        (b"CTR\x00", struct.pack("<QQ", ckpt.epoch, ckpt.iteration)),
-        (b"LYR\x00", _layer_section(ckpt.model, ckpt.velocity)),
-        (b"MET\x00", ckpt.metrics_csv.encode()),
+    payloads = [
+        ckpt.config.to_json().encode(),
+        struct.pack("<QQ", ckpt.epoch, ckpt.iteration),
+        _layer_section(ckpt.model, ckpt.velocity),
+        ckpt.metrics_csv.encode(),
     ]
-    out = bytearray(MAGIC + struct.pack("<HI", VERSION, len(sections)))
-    for tag, payload in sections:
+    out = bytearray(MAGIC + struct.pack("<HI", VERSION, len(_SECTIONS)))
+    for tag, payload in zip(_SECTIONS, payloads):
         out += tag + struct.pack("<Q", len(payload)) + payload
     return bytes(out)
 
@@ -133,20 +134,33 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint; malformed bytes raise a ValueError naming the file."""
     blob = Path(path).read_bytes()
+    try:
+        return _parse_checkpoint(blob)
+    except (ValueError, KeyError, struct.error) as exc:
+        raise ValueError(f"{path}: malformed checkpoint: {exc}") from exc
+
+
+def _parse_checkpoint(blob: bytes) -> Checkpoint:
     if blob[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
+        raise ValueError("bad magic, not a checkpoint file")
     version, count = struct.unpack_from("<HI", blob, len(MAGIC))
     if version != VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise ValueError(f"unsupported checkpoint version {version}")
     off = len(MAGIC) + 6
     sections: dict[bytes, bytes] = {}
     for _ in range(count):
         tag = blob[off : off + 4]
         (length,) = struct.unpack_from("<Q", blob, off + 4)
         off += 12
+        if off + length > len(blob):
+            raise ValueError(f"section {tag!r} at offset {off - 12} runs past the end of the file")
         sections[tag] = blob[off : off + length]
         off += length
+    missing = [tag.decode().rstrip("\0") for tag in _SECTIONS if tag not in sections]
+    if missing:
+        raise ValueError(f"missing section(s) {', '.join(missing)}")
     config = RunConfig.from_json(sections[b"CFG\x00"].decode())
     epoch, iteration = struct.unpack_from("<QQ", sections[b"CTR\x00"], 0)
     model, velocity = _parse_layers(sections[b"LYR\x00"])

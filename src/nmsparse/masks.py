@@ -9,7 +9,7 @@ kernel_score), so kept entries live in the open interval (1, 3). Folding
 multiplies the weights by the soft mask, which preserves the N:M support.
 
 Tie-breaking is everywhere "lowest index wins", so masks are
-bit-reproducible across runs and thread counts. Within a block, each entry's
+bit-reproducible across runs. Within a block, each entry's
 place in the magnitude order is counted directly: the earlier columns whose
 magnitude is <= its own plus the later columns whose magnitude is < its own.
 That count is exactly the entry's position in a stable argsort of the row,
@@ -21,19 +21,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import DegenerateAxisError, DimensionError
-from .schedule import Schedule, delta as schedule_delta
 from .tensors import (
-    AxisVector,
     BlockMatrix,
     WeightTensor4,
     block_l1_norms,
     block_layout,
+    block_layout_inverse,
     rearrange_to_blocks,
 )
 
@@ -125,14 +123,6 @@ class ImportanceParams:
             raise ValueError(f"temperature must be positive, got {self.tau}")
 
 
-@dataclass(eq=False)
-class AxisScores:
-    """Per-element importance scores in (0, 1), same shape as the source tensor."""
-
-    values: np.ndarray
-    axis_tag: str
-
-
 def _keep_bits(values: np.ndarray, drop: int) -> np.ndarray:
     """uint8 (g, m) mask zeroing the ``drop`` smallest |values| of each row,
     ties to the lowest column; ``values`` must be finite.
@@ -199,13 +189,16 @@ def hard_mask(
     delta: float,
     ordering: str = "l1_descending",
 ) -> HardMask:
-    """All-ones mask with the bottom m-n entries of each selected block zeroed."""
+    """All-ones mask with the bottom m-n entries of each selected block zeroed.
+
+    At delta 1 every block is chosen, so the block norms are not computed.
+    """
     if bm.m != pattern.m:
         raise DimensionError(f"block width {bm.m} does not match pattern {pattern}")
-    chosen = select_sparsify_blocks(block_l1_norms(bm), delta, ordering)
     drop = pattern.m - pattern.n
-    if chosen.size == bm.g:
-        return HardMask(_keep_bits(bm.values, drop), chosen)
+    if delta == 1.0:
+        return HardMask(_keep_bits(bm.values, drop), np.arange(bm.g, dtype=np.int64))
+    chosen = select_sparsify_blocks(block_l1_norms(bm), delta, ordering)
     bits = np.ones((bm.g, bm.m), dtype=np.uint8)
     if chosen.size:
         bits[chosen] = _keep_bits(bm.values[chosen], drop)
@@ -233,16 +226,6 @@ def kept_width_from_delta(delta: float, pattern: SparsePattern) -> int:
     return pattern.m - int(math.floor(x + 0.5))
 
 
-def kept_width_at(t: float, sched: Schedule, pattern: SparsePattern) -> int:
-    """Kept width at epoch t under ``sched``; m at the ramp start, n at the end."""
-    return kept_width_from_delta(schedule_delta(t, sched), pattern)
-
-
-def _axis_values(v: Union[AxisVector, np.ndarray]) -> np.ndarray:
-    vals = v.values if isinstance(v, AxisVector) else np.asarray(v, dtype=np.float64)
-    return np.abs(vals.reshape(-1))
-
-
 def _kept_count(length: int, p: float) -> int:
     if length < 2:
         raise DegenerateAxisError(f"axis vector of length {length} has no threshold")
@@ -255,77 +238,77 @@ def _kept_count(length: int, p: float) -> int:
     return k
 
 
-def threshold_bounds(v: Union[AxisVector, np.ndarray], p: float) -> tuple[float, float]:
+def _row_thresholds(mags: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of a (rows, L) magnitude array at sparse rate p: the smallest
+    kept magnitude, the largest pruned one, and their midpoint."""
+    length = mags.shape[1]
+    k = _kept_count(length, p)
+    ordered = np.sort(mags, axis=1)
+    high, low = ordered[:, length - k], ordered[:, length - k - 1]
+    return high, low, (high + low) / 2.0
+
+
+def _row_scores(mags: np.ndarray, p: float, tau: float) -> np.ndarray:
+    """sigmoid((mags - row midpoint) / tau) for a (rows, L) magnitude array."""
+    _, _, sigma = _row_thresholds(mags, p)
+    return expit((mags - sigma[:, None]) / tau)
+
+
+def _one_row(v) -> np.ndarray:
+    return np.abs(np.asarray(v, dtype=np.float64)).reshape(1, -1)
+
+
+def threshold_bounds(v: np.ndarray, p: float) -> tuple[float, float]:
     """(smallest kept magnitude, largest pruned magnitude) at sparse rate p."""
-    mags = _axis_values(v)
-    k = _kept_count(mags.size, p)
-    ordered = np.sort(mags)
-    return float(ordered[mags.size - k]), float(ordered[mags.size - k - 1])
+    high, low, _ = _row_thresholds(_one_row(v), p)
+    return float(high[0]), float(low[0])
 
 
-def importance_threshold(v: Union[AxisVector, np.ndarray], p: float) -> float:
+def importance_threshold(v: np.ndarray, p: float) -> float:
     """Midpoint between the smallest kept and largest pruned magnitude."""
-    high, low = threshold_bounds(v, p)
-    return (high + low) / 2.0
+    _, _, sigma = _row_thresholds(_one_row(v), p)
+    return float(sigma[0])
 
 
-def importance_scores(v: Union[AxisVector, np.ndarray], params: ImportanceParams) -> np.ndarray:
+def importance_scores(v: np.ndarray, params: ImportanceParams) -> np.ndarray:
     """sigmoid((|v_i| - threshold) / tau); exactly 0.5 at the threshold."""
-    mags = _axis_values(v)
-    sigma = importance_threshold(mags, params.p)
-    return expit((mags - sigma) / params.tau)
+    return _row_scores(_one_row(v), params.p, params.tau)[0]
 
 
-def filter_axis_scores(w: WeightTensor4, pattern: SparsePattern, tau: float) -> AxisScores:
+def filter_axis_scores(w: WeightTensor4, pattern: SparsePattern, tau: float) -> np.ndarray:
     """Importance of every weight within its output filter's flattened slice."""
     if w.c_in % pattern.m != 0:
         raise DimensionError(f"pattern {pattern} does not divide c_in={w.c_in}")
     mags = np.abs(w.values).reshape(w.c_out, -1)
-    length = mags.shape[1]
-    k = _kept_count(length, pattern.sparse_rate)
-    ordered = np.sort(mags, axis=1)
-    sigma = (ordered[:, length - k] + ordered[:, length - k - 1]) / 2.0
-    scores = expit((mags - sigma[:, None]) / tau)
-    return AxisScores(scores.reshape(w.dims), "filter")
+    return _row_scores(mags, pattern.sparse_rate, tau).reshape(w.dims)
 
 
-def kernel_axis_scores(w: WeightTensor4, pattern: SparsePattern, tau: float) -> AxisScores:
+def kernel_axis_scores(w: WeightTensor4, pattern: SparsePattern, tau: float) -> np.ndarray:
     """Importance of every weight within its spatial kernel position's slice."""
     if w.c_in % pattern.m != 0:
         raise DimensionError(f"pattern {pattern} does not divide c_in={w.c_in}")
     # group (k1, k2): one vector of length c_out*c_in per kernel position
     mags = np.abs(w.values.transpose(2, 3, 0, 1)).reshape(w.k_h * w.k_w, -1)
-    length = mags.shape[1]
-    k = _kept_count(length, pattern.sparse_rate)
-    ordered = np.sort(mags, axis=1)
-    sigma = (ordered[:, length - k] + ordered[:, length - k - 1]) / 2.0
-    scores = expit((mags - sigma[:, None]) / tau)
-    scores = scores.reshape(w.k_h, w.k_w, w.c_out, w.c_in).transpose(2, 3, 0, 1)
-    return AxisScores(scores, "kernel")
+    scores = _row_scores(mags, pattern.sparse_rate, tau)
+    return scores.reshape(w.k_h, w.k_w, w.c_out, w.c_in).transpose(2, 3, 0, 1)
 
 
-def soft_mask(hard: HardMask, sf: AxisScores, sk: AxisScores) -> SoftMask:
+def soft_mask(hard: HardMask, sf: np.ndarray, sk: np.ndarray) -> SoftMask:
     """Combine b * (1 + filter scores + kernel scores) in block layout."""
-    if sf.values.shape != sk.values.shape:
+    if sf.shape != sk.shape:
+        raise DimensionError(f"axis score shapes differ: {sf.shape} vs {sk.shape}")
+    if sf.size != hard.g * hard.m:
         raise DimensionError(
-            f"axis score shapes differ: {sf.values.shape} vs {sk.values.shape}"
+            f"axis scores hold {sf.size} entries, mask needs {hard.g * hard.m}"
         )
-    if sf.values.size != hard.g * hard.m:
-        raise DimensionError(
-            f"axis scores hold {sf.values.size} entries, mask needs {hard.g * hard.m}"
-        )
-    filt = block_layout(sf.values, hard.m)
-    kern = block_layout(sk.values, hard.m)
+    filt = block_layout(sf, hard.m)
+    kern = block_layout(sk, hard.m)
     return SoftMask(hard.bits * (1.0 + filt + kern))
 
 
-def fold(bm: BlockMatrix, soft: SoftMask) -> BlockMatrix:
-    """Multiply weights by the soft mask; support shrinks to the mask's."""
-    if bm.values.shape != soft.values.shape:
-        raise DimensionError(
-            f"block matrix {bm.values.shape} does not match soft mask {soft.values.shape}"
-        )
-    return BlockMatrix(bm.values * soft.values, bm.origin_dims)
+def fold(weight: np.ndarray, soft: SoftMask) -> np.ndarray:
+    """weight * soft mask in the 4D weight layout; support shrinks to the mask's."""
+    return weight * block_layout_inverse(soft.values, weight.shape)
 
 
 def build_masks(

@@ -22,7 +22,7 @@ from scipy import sparse
 from .errors import DimensionError, PatternViolationError
 from .im2col import im2col
 from .masks import SparsePattern
-from .tensors import BlockMatrix, Dims4, WeightTensor4, rearrange_from_blocks, rearrange_to_blocks
+from .tensors import BlockMatrix, Dims4, WeightTensor4, block_layout, rearrange_from_blocks, rearrange_to_blocks
 
 MAGIC = b"NMSP"
 VERSION = 1
@@ -88,10 +88,13 @@ class CompressedNM:
         if self._csr is None:
             n, m = self.pattern.n, self.pattern.m
             c_out, c_in, k_h, k_w = self.origin_dims
-            _, kh, kw, cb = np.unravel_index(np.arange(self.g), (c_out, k_h, k_w, c_in // m))
-            channel = cb[:, None] * m + self.indices.astype(np.int64)
-            cols = channel * (k_h * k_w) + (kh * k_w + kw)[:, None]
-            indptr = np.arange(c_out + 1) * (c_in // m * k_h * k_w * n)
+            # a slot's column depends only on its block's place within the filter
+            flat = np.arange(c_in * k_h * k_w).reshape(1, c_in, k_h, k_w)
+            slot_cols = block_layout(flat, m)[None]
+            blocks_per_filter = c_in // m * k_h * k_w
+            per_filter = self.indices.reshape(c_out, blocks_per_filter, n).astype(np.intp)
+            cols = np.take_along_axis(slot_cols, per_filter, axis=2)
+            indptr = np.arange(c_out + 1) * (blocks_per_filter * n)
             data = self.values.astype(np.float64).ravel()
             self._csr = sparse.csr_matrix((data, cols.ravel(), indptr), shape=self.matrix_shape)
         return self._csr

@@ -13,7 +13,6 @@ contiguous; the compressed runtime format relies on that ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -120,20 +119,6 @@ class BlockMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class AxisVector:
-    """A flattened slice of a weight tensor along one query axis.
-
-    ``axis_tag`` is "filter" (one output filter, length c_in*k_h*k_w) or
-    "kernel" (one spatial position, length c_out*c_in); ``axis_index`` is the
-    filter index or the (k1, k2) kernel position.
-    """
-
-    values: np.ndarray
-    axis_tag: str
-    axis_index: Union[int, tuple[int, int]]
-
-
 def rearrange_to_blocks(w: WeightTensor4, m: int) -> BlockMatrix:
     """Group every m consecutive input channels of ``w`` into one block row."""
     return BlockMatrix(block_layout(w.values, m), w.dims)
@@ -165,18 +150,3 @@ def coord_of_block(dims: Dims4, m: int, g: int, j: int) -> tuple[int, int, int, 
     o, kh = divmod(g3, k_h)
     return o, cb * m + j, kh, kw
 
-
-def axis_group_filter(w: WeightTensor4, i: int) -> AxisVector:
-    """Filter-axis slice w[i, :, :, :] flattened in (c_in, k_h, k_w) order."""
-    if not 0 <= i < w.c_out:
-        raise DimensionError(f"filter index {i} out of range for c_out={w.c_out}")
-    return AxisVector(w.values[i].reshape(-1), "filter", i)
-
-
-def axis_group_kernel(w: WeightTensor4, k1: int, k2: int) -> AxisVector:
-    """Kernel-axis slice w[:, :, k1, k2] flattened in (c_out, c_in) order."""
-    if not 0 <= k1 < w.k_h:
-        raise DimensionError(f"kernel row {k1} out of range for k_h={w.k_h}")
-    if not 0 <= k2 < w.k_w:
-        raise DimensionError(f"kernel col {k2} out of range for k_w={w.k_w}")
-    return AxisVector(np.ascontiguousarray(w.values[:, :, k1, k2]).reshape(-1), "kernel", (k1, k2))

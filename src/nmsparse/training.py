@@ -29,7 +29,7 @@ import numpy as np
 
 from . import nn
 from .errors import DivergenceError
-from .masks import HardMask, SoftMask, SparsePattern, build_masks
+from .masks import HardMask, SoftMask, SparsePattern, build_masks, fold
 from .schedule import Schedule, delta as schedule_delta
 from .tensors import WeightTensor4, block_layout_inverse
 
@@ -138,14 +138,9 @@ def effective_weights(
     The soft mask's shape fixes the block width, so ``pattern`` is not read.
     """
     return [
-        _fold_4d(layer.weight, masks[layer.name][1]) if layer.name in masks else layer.weight
+        fold(layer.weight, masks[layer.name][1]) if layer.name in masks else layer.weight
         for layer in model.layers
     ]
-
-
-def _fold_4d(weight: np.ndarray, soft: SoftMask) -> np.ndarray:
-    """weight * soft mask, computed in the 4D weight layout."""
-    return weight * block_layout_inverse(soft.values, weight.shape)
 
 
 @dataclass(eq=False)
@@ -281,7 +276,7 @@ def export_folded(
     """Folded (soft-masked) weights per eligible layer; dense layers verbatim."""
     return {
         layer.name: WeightTensor4(
-            _fold_4d(layer.weight, masks[layer.name][1]) if layer.name in masks else layer.weight.copy()
+            fold(layer.weight, masks[layer.name][1]) if layer.name in masks else layer.weight.copy()
         )
         for layer in model.layers
     }

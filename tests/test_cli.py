@@ -154,3 +154,45 @@ def test_cli_reports_divergence_with_exit_code_3(run_dir, capsys):
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: non-finite loss at epoch \d+, iteration \d+\n", err)
     assert not (out / "checkpoint.maxq").exists()
+
+
+def _truncated_checkpoint(run_dir, tmp_path):
+    cfg_path, out = run_dir
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    blob = (out / "checkpoint.maxq").read_bytes()
+    path = tmp_path / "truncated.maxq"
+    path.write_bytes(blob[: len(blob) // 2])
+    return ["fold", "--ckpt", str(path), "--out", str(tmp_path / "folded.npz")], path
+
+
+def _non_zip_archive(run_dir, tmp_path):
+    path = tmp_path / "junk.nmz"
+    path.write_bytes(b"not a zip archive")
+    return ["bench", "--archive", str(path)], path
+
+
+def _truncated_folded_archive(run_dir, tmp_path):
+    rng = np.random.default_rng(2)
+    model = nn.Model([nn.Layer("linear", "fc0", rng.normal(size=(2, 4, 1, 1)), np.zeros(2))])
+    path = tmp_path / "truncated.npz"
+    save_folded_archive(path, FoldedModel.from_model(model, {"fc0": WeightTensor4(model.layers[0].weight)}, None))
+    path.write_bytes(path.read_bytes()[:-40])
+    return ["verify", "--weights", str(path), "--pattern", "2:4"], path
+
+
+def _directory_checkpoint(run_dir, tmp_path):
+    return ["fold", "--ckpt", str(tmp_path), "--out", str(tmp_path / "folded.npz")], tmp_path
+
+
+@pytest.mark.parametrize(
+    "make_case",
+    [_truncated_checkpoint, _non_zip_archive, _truncated_folded_archive, _directory_checkpoint],
+    ids=["truncated_maxq", "non_zip_nmz", "truncated_npz", "directory"],
+)
+def test_cli_malformed_artifact_is_one_error_line(make_case, run_dir, tmp_path, capsys):
+    argv, path = make_case(run_dir, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: [^\n]*\n", err)
+    assert str(path) in err

@@ -18,15 +18,14 @@ from nmsparse.masks import (
     hard_mask_top_width,
     importance_scores,
     importance_threshold,
-    kept_width_at,
     kept_width_from_delta,
     kernel_axis_scores,
     select_sparsify_blocks,
     soft_mask,
     threshold_bounds,
 )
-from nmsparse.schedule import Schedule
-from nmsparse.tensors import BlockMatrix, WeightTensor4, rearrange_to_blocks
+from nmsparse.schedule import Schedule, delta as schedule_delta
+from nmsparse.tensors import BlockMatrix, WeightTensor4, block_layout, rearrange_to_blocks
 
 
 def bm_of(rows, dims=None):
@@ -208,7 +207,7 @@ def test_kept_width_endpoints_and_midpoint():
 def test_kept_width_monotone_over_cubic_sweep():
     sched = Schedule(0, 90, "cubic")
     pattern = SparsePattern(1, 16)
-    widths = [kept_width_at(t, sched, pattern) for t in range(0, 120)]
+    widths = [kept_width_from_delta(schedule_delta(t, sched), pattern) for t in range(0, 120)]
     assert widths[0] == 16 and widths[-1] == 1
     assert all(b <= a for a, b in zip(widths, widths[1:]))
 
@@ -315,42 +314,54 @@ def test_axis_scores_symmetric_filters_are_half():
     # every filter has identical magnitudes -> sigma equals them -> all 0.5
     w = WeightTensor4(np.full((3, 4, 2, 2), 0.25))
     scores = filter_axis_scores(w, SparsePattern(2, 4), 0.1)
-    np.testing.assert_array_equal(scores.values, 0.5)
+    np.testing.assert_array_equal(scores, 0.5)
     kscores = kernel_axis_scores(w, SparsePattern(2, 4), 0.1)
-    np.testing.assert_array_equal(kscores.values, 0.5)
+    np.testing.assert_array_equal(kscores, 0.5)
+
+
+AXIS_ORACLE_CASES = [
+    # (dims, pattern, values): a 3x3 conv, a 1x1 layer whose one kernel-axis
+    # slice is the whole tensor, an integer-valued tensor full of magnitude
+    # ties, and a 1:16 pattern
+    ((4, 8, 3, 3), SparsePattern(2, 4), "normal"),
+    ((16, 8, 1, 1), SparsePattern(2, 4), "normal"),
+    ((6, 8, 2, 2), SparsePattern(2, 4), "integers"),
+    ((3, 32, 2, 1), SparsePattern(1, 16), "normal"),
+]
 
 
 def test_axis_scores_match_per_vector_composition():
-    from nmsparse.tensors import axis_group_filter, axis_group_kernel
-
+    """Filter and kernel scores equal importance_scores on every slice, bit for bit."""
     rng = np.random.default_rng(10)
-    w = WeightTensor4(rng.normal(size=(4, 8, 3, 3)))
-    pattern = SparsePattern(2, 4)
     tau = 0.1
-    params = ImportanceParams(pattern.sparse_rate, tau)
-    fscores = filter_axis_scores(w, pattern, tau)
-    assert fscores.axis_tag == "filter"
-    for i in range(w.c_out):
-        vec = axis_group_filter(w, i)
-        np.testing.assert_array_equal(
-            fscores.values[i].reshape(-1), importance_scores(vec, params)
-        )
-    kscores = kernel_axis_scores(w, pattern, tau)
-    assert kscores.axis_tag == "kernel"
-    for k1 in range(w.k_h):
-        for k2 in range(w.k_w):
-            vec = axis_group_kernel(w, k1, k2)
+    for dims, pattern, kind in AXIS_ORACLE_CASES:
+        if kind == "integers":
+            w = WeightTensor4(rng.integers(-3, 4, size=dims).astype(np.float64))
+        else:
+            w = WeightTensor4(rng.normal(size=dims))
+        params = ImportanceParams(pattern.sparse_rate, tau)
+        fscores = filter_axis_scores(w, pattern, tau)
+        assert fscores.shape == w.dims
+        for i in range(w.c_out):
             np.testing.assert_array_equal(
-                kscores.values[:, :, k1, k2].reshape(-1), importance_scores(vec, params)
+                fscores[i].reshape(-1), importance_scores(w.values[i].reshape(-1), params)
             )
+        kscores = kernel_axis_scores(w, pattern, tau)
+        assert kscores.shape == w.dims
+        for k1 in range(w.k_h):
+            for k2 in range(w.k_w):
+                slice_ = w.values[:, :, k1, k2].reshape(-1)
+                np.testing.assert_array_equal(
+                    kscores[:, :, k1, k2].reshape(-1), importance_scores(slice_, params)
+                )
 
 
 def test_axis_scores_in_unit_interval():
     rng = np.random.default_rng(11)
     w = WeightTensor4(rng.normal(size=(6, 16, 2, 2)))
     for scores in (
-        filter_axis_scores(w, SparsePattern(1, 4), 0.1).values,
-        kernel_axis_scores(w, SparsePattern(1, 4), 0.1).values,
+        filter_axis_scores(w, SparsePattern(1, 4), 0.1),
+        kernel_axis_scores(w, SparsePattern(1, 4), 0.1),
     ):
         assert (scores > 0.0).all() and (scores < 1.0).all()
 
@@ -430,15 +441,14 @@ def test_soft_mask_shape_mismatch_raises():
 
 def test_fold_with_binary_mask_is_magnitude_pruning():
     rng = np.random.default_rng(15)
-    vals = rng.normal(size=(8, 4))
-    bm = bm_of(vals)
+    vals = rng.normal(size=(2, 8, 2, 2))
     pattern = SparsePattern(2, 4)
-    hard = hard_mask(bm, pattern, 1.0)
+    hard = hard_mask(rearrange_to_blocks(WeightTensor4(vals), 4), pattern, 1.0)
     from nmsparse.masks import SoftMask
 
-    folded = fold(bm, SoftMask(hard.bits.astype(np.float64)))
-    np.testing.assert_array_equal(folded.values, vals * hard.bits)
-    assert ((folded.values != 0).sum(axis=1) <= 2).all()
+    folded = fold(vals, SoftMask(hard.bits.astype(np.float64)))
+    np.testing.assert_array_equal(block_layout(folded, 4), block_layout(vals, 4) * hard.bits)
+    assert ((block_layout(folded, 4) != 0).sum(axis=1) <= 2).all()
 
 
 def test_fold_support_containment():
@@ -446,11 +456,10 @@ def test_fold_support_containment():
     w = WeightTensor4(rng.normal(size=(4, 8, 1, 1)))
     pattern = SparsePattern(2, 8)
     hard, soft = build_masks(w, pattern, 0.1, delta=1.0)
-    bm = rearrange_to_blocks(w, 8)
-    folded = fold(bm, soft)
-    assert ((folded.values != 0).sum(axis=1) <= pattern.n).all()
+    folded = block_layout(fold(w.values, soft), 8)
+    assert ((folded != 0).sum(axis=1) <= pattern.n).all()
     # folding again with the same binary support does not change the support
-    np.testing.assert_array_equal(folded.values != 0, (folded.values * hard.bits) != 0)
+    np.testing.assert_array_equal(folded != 0, (folded * hard.bits) != 0)
 
 
 # --------------------------------------------------- pipeline determinism

@@ -6,8 +6,6 @@ from nmsparse.errors import DimensionError
 from nmsparse.tensors import (
     BlockMatrix,
     WeightTensor4,
-    axis_group_filter,
-    axis_group_kernel,
     block_l1_norms,
     block_of_coord,
     coord_of_block,
@@ -137,40 +135,6 @@ def test_block_l1_norms_permutation_invariant():
     bm = BlockMatrix(vals, (5, 6, 1, 2))
     shuffled = BlockMatrix(np.take_along_axis(vals, rng.permuted(np.tile(np.arange(6), (10, 1)), axis=1), axis=1), (5, 6, 1, 2))
     np.testing.assert_array_equal(block_l1_norms(bm), block_l1_norms(shuffled))
-
-
-def test_axis_vector_lengths_small():
-    w = random_tensor(np.random.default_rng(5), (2, 2, 1, 1))
-    assert axis_group_filter(w, 0).values.shape == (2,)
-    assert axis_group_kernel(w, 0, 0).values.shape == (4,)
-
-
-def test_axis_vectors_match_slices():
-    rng = np.random.default_rng(6)
-    w = random_tensor(rng, (3, 4, 2, 2))
-    for i in range(w.c_out):
-        vec = axis_group_filter(w, i)
-        assert vec.axis_tag == "filter" and vec.axis_index == i
-        np.testing.assert_array_equal(vec.values.reshape(4, 2, 2), w.values[i])
-    for k1 in range(w.k_h):
-        for k2 in range(w.k_w):
-            vec = axis_group_kernel(w, k1, k2)
-            assert vec.axis_tag == "kernel" and vec.axis_index == (k1, k2)
-            np.testing.assert_array_equal(vec.values.reshape(3, 4), w.values[:, :, k1, k2])
-
-
-def test_kernel_axis_of_1x1_is_whole_tensor():
-    w = random_tensor(np.random.default_rng(8), (3, 4, 1, 1))
-    vec = axis_group_kernel(w, 0, 0)
-    np.testing.assert_array_equal(vec.values, w.values.reshape(-1))
-
-
-def test_axis_index_bounds_checked():
-    w = random_tensor(np.random.default_rng(9), (2, 4, 2, 2))
-    with pytest.raises(DimensionError):
-        axis_group_filter(w, 2)
-    with pytest.raises(DimensionError):
-        axis_group_kernel(w, 2, 0)
 
 
 def test_weight_tensor_rejects_nonfinite():
