@@ -3,13 +3,17 @@
 A folded archive stores per-layer dense f64 weights and biases plus a JSON
 manifest of the model structure. A compressed archive is a zip holding one
 serialized N:M tensor per eligible layer, dense layers as f32 .npy arrays,
-and a manifest.
+and a manifest. Its members are stored uncompressed: the payload is mostly
+f32 values, which DEFLATE shrinks by only about 11% at many times the cost.
+``zipfile`` reads each member's own compression, so archives whose members
+were DEFLATE-d still load.
 """
 from __future__ import annotations
 
 import io
 import json
 import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +24,21 @@ from .checkpoint import atomic_write_bytes
 from .masks import SparsePattern
 from .sparse_format import CompressedNM, compress
 from .tensors import WeightTensor4
+
+
+# What zipfile and np.load raise on malformed bytes once the file is open: bad
+# offsets reach seek() as OSError, flipped flag or method fields look like
+# encryption (RuntimeError) or an unknown compression (NotImplementedError).
+_MALFORMED_ZIP = (
+    ValueError,
+    KeyError,
+    EOFError,
+    OSError,
+    RuntimeError,
+    NotImplementedError,
+    zipfile.BadZipFile,
+    zlib.error,
+)
 
 
 @dataclass(eq=False)
@@ -86,12 +105,16 @@ def save_folded_archive(path: str | Path, folded: FoldedModel) -> None:
 
 
 def load_folded_archive(path: str | Path) -> FoldedModel:
-    """Read a folded archive; malformed bytes raise a ValueError naming the file."""
-    try:
-        with np.load(path) as data:
-            return _read_folded(data)
-    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: malformed folded archive: {exc}") from exc
+    """Read a folded archive; malformed bytes raise a ValueError naming the file.
+
+    A file that cannot be opened (missing, a directory) raises its OSError.
+    """
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh) as data:
+                return _read_folded(data)
+        except _MALFORMED_ZIP as exc:
+            raise ValueError(f"{path}: malformed folded archive: {exc}") from exc
 
 
 def _read_folded(data) -> FoldedModel:
@@ -145,7 +168,7 @@ def save_compressed_archive(path: str | Path, folded: FoldedModel, pattern: Spar
             }
         )
     buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", compression=zipfile.ZIP_DEFLATED) as zf:
+    with zipfile.ZipFile(buf, "w", compression=zipfile.ZIP_STORED) as zf:
         zf.writestr("manifest.json", json.dumps(manifest, indent=2))
         for name, blob in entries:
             zf.writestr(name, blob)
@@ -155,13 +178,15 @@ def save_compressed_archive(path: str | Path, folded: FoldedModel, pattern: Spar
 def load_compressed_archive(path: str | Path) -> list[tuple[dict, CompressedNM | np.ndarray]]:
     """(manifest entry, CompressedNM or dense f32 array) per layer.
 
-    Malformed bytes raise a ValueError naming the file.
+    Malformed bytes raise a ValueError naming the file. A file that cannot
+    be opened (missing, a directory) raises its OSError.
     """
-    try:
-        with zipfile.ZipFile(path) as zf:
-            return _read_compressed(zf)
-    except (ValueError, KeyError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: malformed compressed archive: {exc}") from exc
+    with open(path, "rb") as fh:
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                return _read_compressed(zf)
+        except _MALFORMED_ZIP as exc:
+            raise ValueError(f"{path}: malformed compressed archive: {exc}") from exc
 
 
 def _read_compressed(zf: zipfile.ZipFile) -> list[tuple[dict, CompressedNM | np.ndarray]]:

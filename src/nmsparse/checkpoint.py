@@ -55,44 +55,45 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
-def _array_bytes(a: np.ndarray) -> bytes:
+def _array_parts(a: np.ndarray) -> list:
+    """Shape header and a uint8 view of the contiguous f64 array (no copy if it already is one)."""
     a = np.ascontiguousarray(a, dtype=np.float64)
-    return struct.pack("<B", a.ndim) + struct.pack(f"<{a.ndim}Q", *a.shape) + a.tobytes()
+    return [struct.pack(f"<B{a.ndim}Q", a.ndim, *a.shape), a.reshape(-1).view(np.uint8)]
 
 
-def _read_array(blob: bytes, off: int) -> tuple[np.ndarray, int]:
+def _read_array(blob: memoryview, off: int) -> tuple[np.ndarray, int]:
     (ndim,) = struct.unpack_from("<B", blob, off)
     off += 1
     shape = struct.unpack_from(f"<{ndim}Q", blob, off)
     off += 8 * ndim
     count = int(np.prod(shape)) if ndim else 1
+    # The copy makes the array owned and writable: training updates it in place.
     arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape).copy()
     return arr, off + 8 * count
 
 
-def _layer_section(model: nn.Model, velocity: Velocity) -> bytes:
-    out = bytearray(struct.pack("<I", len(model.layers)))
+def _layer_section(model: nn.Model, velocity: Velocity) -> list:
+    parts = [struct.pack("<I", len(model.layers))]
     for i, layer in enumerate(model.layers):
         name = layer.name.encode()
-        out += struct.pack("<H", len(name)) + name
-        out += struct.pack(
-            "<BBHH", _KIND_CODES[layer.kind], int(layer.eligible), layer.stride, layer.padding
+        parts.append(
+            struct.pack("<H", len(name))
+            + name
+            + struct.pack("<BBHH", _KIND_CODES[layer.kind], int(layer.eligible), layer.stride, layer.padding)
         )
-        out += _array_bytes(layer.weight)
-        out += _array_bytes(layer.bias)
-        out += _array_bytes(velocity.w[i])
-        out += _array_bytes(velocity.b[i])
-    return bytes(out)
+        for a in (layer.weight, layer.bias, velocity.w[i], velocity.b[i]):
+            parts += _array_parts(a)
+    return parts
 
 
-def _parse_layers(blob: bytes) -> tuple[nn.Model, Velocity]:
+def _parse_layers(blob: memoryview) -> tuple[nn.Model, Velocity]:
     (count,) = struct.unpack_from("<I", blob, 0)
     off = 4
     layers, vel_w, vel_b = [], [], []
     for _ in range(count):
         (name_len,) = struct.unpack_from("<H", blob, off)
         off += 2
-        name = blob[off : off + name_len].decode()
+        name = bytes(blob[off : off + name_len]).decode()
         off += name_len
         kind_code, eligible, stride, padding = struct.unpack_from("<BBHH", blob, off)
         off += 6
@@ -117,16 +118,17 @@ def _parse_layers(blob: bytes) -> tuple[nn.Model, Velocity]:
 
 
 def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
-    payloads = [
-        ckpt.config.to_json().encode(),
-        struct.pack("<QQ", ckpt.epoch, ckpt.iteration),
+    sections = [
+        [ckpt.config.to_json().encode()],
+        [struct.pack("<QQ", ckpt.epoch, ckpt.iteration)],
         _layer_section(ckpt.model, ckpt.velocity),
-        ckpt.metrics_csv.encode(),
+        [ckpt.metrics_csv.encode()],
     ]
-    out = bytearray(MAGIC + struct.pack("<HI", VERSION, len(_SECTIONS)))
-    for tag, payload in zip(_SECTIONS, payloads):
-        out += tag + struct.pack("<Q", len(payload)) + payload
-    return bytes(out)
+    parts = [MAGIC + struct.pack("<HI", VERSION, len(_SECTIONS))]
+    for tag, section in zip(_SECTIONS, sections):
+        parts.append(tag + struct.pack("<Q", sum(len(p) for p in section)))
+        parts += section
+    return b"".join(parts)
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
@@ -143,25 +145,26 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 def _parse_checkpoint(blob: bytes) -> Checkpoint:
+    view = memoryview(blob)  # sections are sliced from it without copying
     if blob[: len(MAGIC)] != MAGIC:
         raise ValueError("bad magic, not a checkpoint file")
     version, count = struct.unpack_from("<HI", blob, len(MAGIC))
     if version != VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     off = len(MAGIC) + 6
-    sections: dict[bytes, bytes] = {}
+    sections: dict[bytes, memoryview] = {}
     for _ in range(count):
         tag = blob[off : off + 4]
         (length,) = struct.unpack_from("<Q", blob, off + 4)
         off += 12
         if off + length > len(blob):
             raise ValueError(f"section {tag!r} at offset {off - 12} runs past the end of the file")
-        sections[tag] = blob[off : off + length]
+        sections[tag] = view[off : off + length]
         off += length
     missing = [tag.decode().rstrip("\0") for tag in _SECTIONS if tag not in sections]
     if missing:
         raise ValueError(f"missing section(s) {', '.join(missing)}")
-    config = RunConfig.from_json(sections[b"CFG\x00"].decode())
+    config = RunConfig.from_json(bytes(sections[b"CFG\x00"]).decode())
     epoch, iteration = struct.unpack_from("<QQ", sections[b"CTR\x00"], 0)
     model, velocity = _parse_layers(sections[b"LYR\x00"])
     return Checkpoint(
@@ -170,5 +173,5 @@ def _parse_checkpoint(blob: bytes) -> Checkpoint:
         iteration=int(iteration),
         model=model,
         velocity=velocity,
-        metrics_csv=sections[b"MET\x00"].decode(),
+        metrics_csv=bytes(sections[b"MET\x00"]).decode(),
     )

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DegenerateAxisError, DimensionError
+from .schedule import ORDERINGS
 from .tensors import (
     BlockMatrix,
     WeightTensor4,
@@ -162,20 +163,17 @@ def select_sparsify_blocks(
     l1_descending picks the largest-norm blocks first; l1_ascending is the
     inverse strategy. Norm ties go to the lowest block index.
     """
+    if ordering not in ORDERINGS:
+        raise ValueError(f"unknown ordering {ordering!r}")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     norms = np.asarray(norms, dtype=np.float64)
     count = math.ceil(norms.size * delta)
     if count == 0:
         return np.empty(0, dtype=np.int64)
-    if ordering == "l1_descending":
-        keys = -norms
-    elif ordering == "l1_ascending":
-        keys = norms
-    else:
-        raise ValueError(f"unknown ordering {ordering!r}")
     if count == norms.size:
         return np.arange(count, dtype=np.int64)
+    keys = -norms if ordering == "l1_descending" else norms
     boundary = np.partition(keys, count - 1)[count - 1]
     chosen = keys < boundary
     ties = np.flatnonzero(keys == boundary)
@@ -193,6 +191,8 @@ def hard_mask(
 
     At delta 1 every block is chosen, so the block norms are not computed.
     """
+    if ordering not in ORDERINGS:
+        raise ValueError(f"unknown ordering {ordering!r}")
     if bm.m != pattern.m:
         raise DimensionError(f"block width {bm.m} does not match pattern {pattern}")
     drop = pattern.m - pattern.n

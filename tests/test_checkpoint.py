@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from nmsparse import datasets, runner, training
+from nmsparse import datasets, nn, runner, training
 from nmsparse.checkpoint import (
     Checkpoint,
     checkpoint_bytes,
@@ -9,6 +11,9 @@ from nmsparse.checkpoint import (
     save_checkpoint,
 )
 from nmsparse.config import RunConfig
+from nmsparse.training import Velocity
+
+GOLDEN_MAXQ_SHA256 = "3b2b3ef7a8b2352dd97fed1f8256c7468733e46b9ab8299e8d3ab010248b5795"
 
 
 def run_config(tmp_path, seed=11, out_name="run"):
@@ -122,3 +127,48 @@ def test_run_training_writes_artifacts_and_resume_cli_path(tmp_path):
     # resuming a finished run is a no-op that rewrites identical artifacts
     result2, _ = runner.run_training(config, resume_from=out_dir / "checkpoint.maxq")
     assert training.metrics_to_csv(result2.metrics) == csv_text
+
+
+def _golden_checkpoint() -> Checkpoint:
+    def values(shape, scale):
+        return (np.arange(int(np.prod(shape)), dtype=np.float64).reshape(shape) * 0.37 % 1.0 - 0.5) * scale
+
+    config = RunConfig.from_dict(
+        {
+            "pattern": {"n": 2, "m": 4},
+            "schedule": {"t_i": 0, "t_f": 2},
+            "trainer": {"arch": "cnn", "epochs": 3, "batch_size": 8, "learning_rate": 0.05},
+            "dataset": {"kind": "two_spirals", "samples": 32, "noise": 0.01, "seed": 1},
+            "tau": 0.1,
+            "seed": 4,
+            "out_dir": "runs/golden",
+        }
+    )
+    conv = nn.Layer("conv", "conv0", values((4, 2, 3, 3), 1.0), values((4,), 0.1), stride=2, padding=1, eligible=True)
+    fc = nn.Layer("linear", "fc1", values((3, 4, 1, 1), 2.0), values((3,), 0.2))
+    velocity = Velocity(
+        [values(conv.weight.shape, 0.01), values(fc.weight.shape, -0.02)],
+        [values(conv.bias.shape, 0.03), values(fc.bias.shape, -0.04)],
+    )
+    return Checkpoint(
+        config=config,
+        epoch=2,
+        iteration=7,
+        model=nn.Model([conv, fc]),
+        velocity=velocity,
+        metrics_csv="epoch,loss\n0,1.25\n1,0.75\n",
+    )
+
+
+def test_golden_checkpoint_bytes_and_owned_writable_arrays(tmp_path):
+    ckpt = _golden_checkpoint()
+    path = tmp_path / "golden.maxq"
+    save_checkpoint(path, ckpt)
+    blob = path.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_MAXQ_SHA256
+    loaded = load_checkpoint(path)
+    assert checkpoint_bytes(loaded) == blob
+    arrays = [a for l in loaded.model.layers for a in (l.weight, l.bias)]
+    arrays += loaded.velocity.w + loaded.velocity.b
+    for a in arrays:
+        assert a.flags.writeable and a.flags.owndata

@@ -166,6 +166,16 @@ def test_hard_mask_delta_zero_is_all_ones():
     assert mask.sparsified.size == 0
 
 
+def test_unknown_ordering_raises_at_every_delta():
+    bm = bm_of(np.random.default_rng(6).normal(size=(6, 4)))
+    norms = np.abs(bm.values).sum(axis=1)
+    for delta in (0.0, 0.5, 1.0):
+        with pytest.raises(ValueError, match="unknown ordering 'bogus'"):
+            hard_mask(bm, SparsePattern(2, 4), delta, "bogus")
+        with pytest.raises(ValueError, match="unknown ordering 'bogus'"):
+            select_sparsify_blocks(norms, delta, "bogus")
+
+
 def test_hard_mask_two_block_composition():
     bm = bm_of([[1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.4]])
     mask = hard_mask(bm, SparsePattern(2, 4), 0.5)
