@@ -1,90 +1,10 @@
 """N:M structured sparsity: block masks, multi-axis importance, sparse training,
 and a compressed runtime format with CPU kernels."""
 
-from .errors import (
-    DegenerateAxisError,
-    DimensionError,
-    DivergenceError,
-    PatternViolationError,
-)
-from .masks import (
-    HardMask,
-    ImportanceParams,
-    SoftMask,
-    SparsePattern,
-    arg_bottom_per_block,
-    build_masks,
-    filter_axis_scores,
-    fold,
-    hard_mask,
-    importance_scores,
-    importance_threshold,
-    kernel_axis_scores,
-    select_sparsify_blocks,
-    soft_mask,
-)
-from .schedule import Schedule, delta
-from .sparse_format import (
-    BenchReport,
-    ComplianceReport,
-    CompressedNM,
-    bench,
-    compress,
-    conv2d_sparse,
-    decompress,
-    spmm,
-    verify,
-)
-from .tensors import (
-    BlockMatrix,
-    WeightTensor4,
-    block_l1_norms,
-    rearrange_from_blocks,
-    rearrange_to_blocks,
-)
-from .training import TrainConfig, fit, export_folded, masked_forward, sr_ste_step, ste_backward
+from .masks import SparsePattern, build_masks, fold
+from .sparse_format import compress, spmm
+from .tensors import WeightTensor4
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BenchReport",
-    "BlockMatrix",
-    "ComplianceReport",
-    "CompressedNM",
-    "DegenerateAxisError",
-    "DimensionError",
-    "DivergenceError",
-    "HardMask",
-    "ImportanceParams",
-    "PatternViolationError",
-    "Schedule",
-    "SoftMask",
-    "SparsePattern",
-    "TrainConfig",
-    "WeightTensor4",
-    "arg_bottom_per_block",
-    "bench",
-    "block_l1_norms",
-    "build_masks",
-    "compress",
-    "conv2d_sparse",
-    "decompress",
-    "delta",
-    "export_folded",
-    "filter_axis_scores",
-    "fit",
-    "fold",
-    "hard_mask",
-    "importance_scores",
-    "importance_threshold",
-    "kernel_axis_scores",
-    "masked_forward",
-    "rearrange_from_blocks",
-    "rearrange_to_blocks",
-    "select_sparsify_blocks",
-    "soft_mask",
-    "spmm",
-    "sr_ste_step",
-    "ste_backward",
-    "verify",
-]
+__all__ = ["SparsePattern", "WeightTensor4", "build_masks", "compress", "fold", "spmm"]

@@ -29,9 +29,12 @@ from .tensors import WeightTensor4
 # What zipfile and np.load raise on malformed bytes once the file is open: bad
 # offsets reach seek() as OSError, flipped flag or method fields look like
 # encryption (RuntimeError) or an unknown compression (NotImplementedError).
+# An ill-typed manifest value (a null stride, a number for the layer list)
+# fails its int() or iteration with a TypeError.
 _MALFORMED_ZIP = (
     ValueError,
     KeyError,
+    TypeError,
     EOFError,
     OSError,
     RuntimeError,

@@ -96,48 +96,40 @@ def read_idx(path: str | Path) -> np.ndarray:
         ndim = 1
     else:
         raise ValueError(f"{path}: unsupported IDX magic 0x{magic:08x}")
-    dims = struct.unpack_from(f">{ndim}I", blob, 4)
     start = 4 + 4 * ndim
+    if len(blob) < start:
+        raise ValueError(f"{path}: truncated IDX header: {len(blob)} bytes, need {start}")
+    dims = struct.unpack_from(f">{ndim}I", blob, 4)
     count = int(np.prod(dims))
     if len(blob) - start != count:
         raise ValueError(f"{path}: expected {count} payload bytes, found {len(blob) - start}")
     return np.frombuffer(blob, dtype=np.uint8, offset=start).reshape(dims)
 
 
-def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
+def load_idx(images: str | Path, labels: str | Path) -> Dataset:
     """Pair of IDX files -> images scaled to [0, 1] with shape (N, 1, H, W)."""
-    images = read_idx(images_path)
-    labels = read_idx(labels_path)
-    if images.ndim != 3:
-        raise ValueError(f"{images_path}: expected image data")
-    if labels.ndim != 1:
-        raise ValueError(f"{labels_path}: expected label data")
-    if images.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"{images.shape[0]} images but {labels.shape[0]} labels"
-        )
-    X = images.astype(np.float64)[:, None, :, :] / 255.0
-    y = labels.astype(np.int64)
+    pixels = read_idx(images)
+    classes = read_idx(labels)
+    if pixels.ndim != 3:
+        raise ValueError(f"{images}: expected image data")
+    if classes.ndim != 1:
+        raise ValueError(f"{labels}: expected label data")
+    if pixels.shape[0] != classes.shape[0]:
+        raise ValueError(f"{pixels.shape[0]} images but {classes.shape[0]} labels")
+    X = pixels.astype(np.float64)[:, None, :, :] / 255.0
+    y = classes.astype(np.int64)
     return Dataset(X, y, num_classes=int(y.max()) + 1)
+
+
+# Run-config dataset kinds. A config's dataset keys are checked against the
+# builder's own signature, so its defaults are the only ones.
+BUILDERS = {"two_spirals": two_spirals, "two_gaussians": two_gaussians, "csv": from_csv, "idx": load_idx}
 
 
 def build(spec: dict) -> Dataset:
     """Construct a dataset from a run-configuration ``dataset`` section."""
-    kind = spec.get("kind")
-    if kind == "two_spirals":
-        return two_spirals(
-            samples=int(spec.get("samples", 2000)),
-            noise=float(spec.get("noise", 0.02)),
-            seed=int(spec.get("seed", 0)),
-        )
-    if kind == "two_gaussians":
-        return two_gaussians(
-            samples=int(spec.get("samples", 1000)),
-            separation=float(spec.get("separation", 2.0)),
-            seed=int(spec.get("seed", 0)),
-        )
-    if kind == "csv":
-        return from_csv(spec["path"], spec["label_column"])
-    if kind == "idx":
-        return load_idx(spec["images"], spec["labels"])
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    rest = dict(spec)
+    kind = rest.pop("kind", None)
+    if kind not in BUILDERS:
+        raise ValueError(f"unknown dataset kind {kind!r}")
+    return BUILDERS[kind](**rest)

@@ -58,11 +58,10 @@ class SparsePattern:
     def parse(cls, text: str) -> "SparsePattern":
         try:
             n_str, m_str = text.split(":")
-            return cls(int(n_str), int(m_str))
+            n, m = int(n_str), int(m_str)
         except (ValueError, AttributeError) as exc:
-            if isinstance(exc, ValueError) and "need 1 <= n < m" in str(exc):
-                raise
             raise ValueError(f"cannot parse sparse pattern {text!r}, expected 'n:m'") from exc
+        return cls(n, m)
 
     def __str__(self) -> str:
         return f"{self.n}:{self.m}"

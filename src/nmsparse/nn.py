@@ -54,22 +54,6 @@ class Model:
                 and layer.c_in % pattern.m == 0
             )
 
-    def copy(self) -> "Model":
-        return Model(
-            [
-                Layer(
-                    kind=l.kind,
-                    name=l.name,
-                    weight=l.weight.copy(),
-                    bias=l.bias.copy(),
-                    stride=l.stride,
-                    padding=l.padding,
-                    eligible=l.eligible,
-                )
-                for l in self.layers
-            ]
-        )
-
 
 def _init_weight(rng: np.random.Generator, dims: tuple[int, int, int, int]) -> np.ndarray:
     fan_in = dims[1] * dims[2] * dims[3]

@@ -1,3 +1,5 @@
+import json
+import re
 import zipfile
 
 import numpy as np
@@ -11,6 +13,7 @@ from nmsparse.archives import (
     save_compressed_archive,
     save_folded_archive,
 )
+from nmsparse.cli import main
 from nmsparse.masks import SparsePattern
 from nmsparse.sparse_format import CompressedNM
 from nmsparse.tensors import BlockMatrix, WeightTensor4, rearrange_from_blocks, rearrange_to_blocks
@@ -84,3 +87,49 @@ def test_every_byte_flip_loads_or_raises_value_error(archives, which, tmp_path):
                 load(target)
             except ValueError as exc:
                 assert str(target) in str(exc), (off, flip, exc)
+
+
+def _rewrite_folded_manifest(path, edit):
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    manifest = json.loads(bytes(arrays["manifest"]).decode())
+    edit(manifest)
+    arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+def _rewrite_compressed_manifest(path, edit):
+    with zipfile.ZipFile(path) as zf:
+        members = {info.filename: zf.read(info.filename) for info in zf.infolist()}
+    manifest = json.loads(members["manifest.json"].decode())
+    edit(manifest)
+    members["manifest.json"] = json.dumps(manifest).encode()
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, blob in members.items():
+            zf.writestr(name, blob)
+
+
+# name -> (archive, edit of its manifest)
+ILL_TYPED_MANIFESTS = {
+    "npz_null_stride": ("folded_npz", lambda m: m["layers"][0].update(stride=None)),
+    "npz_int_layers": ("folded_npz", lambda m: m.update(layers=5)),
+    "nmz_null_layers": ("stored_nmz", lambda m: m.update(layers=None)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ILL_TYPED_MANIFESTS))
+def test_ill_typed_manifest_raises_value_error_naming_the_file(archives, case, capsys):
+    which, edit = ILL_TYPED_MANIFESTS[case]
+    path = archives[which]
+    if which == "folded_npz":
+        _rewrite_folded_manifest(path, edit)
+        load, argv = load_folded_archive, ["verify", "--weights", str(path), "--pattern", "2:4"]
+    else:
+        _rewrite_compressed_manifest(path, edit)
+        load, argv = load_compressed_archive, ["bench", "--archive", str(path)]
+    with pytest.raises(ValueError, match="malformed") as info:
+        load(path)
+    assert str(path) in str(info.value)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: [^\n]*\n", err) and str(path) in err

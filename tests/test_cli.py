@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -196,3 +197,44 @@ def test_cli_malformed_artifact_is_one_error_line(make_case, run_dir, tmp_path, 
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: [^\n]*\n", err)
     assert str(path) in err
+
+
+def _truncated_idx_dataset(doc, tmp_path):
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">I", 0x803) + b"\x00\x00")  # magic, then 2 of 12 dims bytes
+    labels.write_bytes(struct.pack(">II", 0x801, 0))
+    return {**doc, "dataset": {"kind": "idx", "images": str(images), "labels": str(labels)}}, str(images)
+
+
+def _set(doc, section, key, value):
+    return {**doc, section: {**doc[section], key: value}}
+
+
+# name -> (doc, tmp_path) -> (malformed document, text its error line must name)
+MALFORMED_CONFIGS = {
+    "missing_dataset": lambda doc, _: ({k: v for k, v in doc.items() if k != "dataset"}, "dataset"),
+    "missing_t_f": lambda doc, _: ({**doc, "schedule": {"t_i": 0}}, "schedule.t_f"),
+    "pattern_without_m": lambda doc, _: ({**doc, "pattern": {"n": 2}}, "pattern.m"),
+    "string_epochs": lambda doc, _: (_set(doc, "trainer", "epochs", "10"), "trainer.epochs"),
+    "int_hidden": lambda doc, _: (_set(doc, "trainer", "hidden", 5), "trainer.hidden"),
+    "string_pattern": lambda doc, _: ({**doc, "pattern": "2:4"}, "pattern"),
+    "null_batch_size": lambda doc, _: (_set(doc, "trainer", "batch_size", None), "trainer.batch_size"),
+    "truncated_idx": _truncated_idx_dataset,
+    "fractional_t_f": lambda doc, _: (_set(doc, "schedule", "t_f", 2.5), "schedule.t_f"),
+    "misspelt_dataset_key": lambda doc, _: (_set(doc, "dataset", "sampels", 500), "sampels"),
+    "string_samples": lambda doc, _: (_set(doc, "dataset", "samples", "200"), "dataset.samples"),
+    "null_trainer": lambda doc, _: ({**doc, "trainer": None}, "trainer"),
+    "top_level_list": lambda doc, _: ([doc], "config"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_cli_malformed_config_is_one_error_line(case, run_dir, tmp_path, capsys):
+    cfg_path, out = run_dir
+    doc, named = MALFORMED_CONFIGS[case](json.loads(cfg_path.read_text()), tmp_path)
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: [^\n]*\n", err)
+    assert named in err
+    assert not out.exists()

@@ -97,3 +97,19 @@ def test_build_dispatch(tmp_path):
     assert len(data.y) == 50
     with pytest.raises(ValueError):
         datasets.build({"kind": "mystery"})
+
+
+def test_idx_rejects_truncated_header(tmp_path):
+    path = tmp_path / "short.idx"
+    path.write_bytes(struct.pack(">I", datasets.IDX_IMAGES_MAGIC) + b"\x00\x00")
+    with pytest.raises(ValueError, match="truncated IDX header") as info:
+        datasets.read_idx(path)
+    assert str(path) in str(info.value)
+
+
+def test_build_passes_keys_to_the_builder_and_uses_its_defaults():
+    assert set(datasets.BUILDERS) == {"two_spirals", "two_gaussians", "csv", "idx"}
+    data = datasets.build({"kind": "two_gaussians"})
+    expected = datasets.two_gaussians()
+    np.testing.assert_array_equal(data.X, expected.X)
+    assert len(data.y) == 1000

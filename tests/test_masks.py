@@ -84,6 +84,22 @@ def test_pattern_validation():
     assert str(SparsePattern(1, 16)) == "1:16"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("5:4", r"^need 1 <= n < m, got 5:4$"),
+        ("2:x", r"^cannot parse sparse pattern '2:x'"),
+        ("2:4:8", r"^cannot parse sparse pattern '2:4:8'"),
+        ("", r"^cannot parse sparse pattern ''"),
+    ],
+)
+def test_pattern_parse_raises_one_value_error(text, message):
+    with pytest.raises(ValueError, match=message) as info:
+        SparsePattern.parse(text)
+    # an out-of-range pattern is the constructor's own error, not a wrapped parse error
+    assert (info.value.__cause__ is None) == (text == "5:4")
+
+
 # ---------------------------------------------------------- bottom-k per block
 
 def test_arg_bottom_hand_example():
