@@ -47,6 +47,8 @@ class TrainerSettings:
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if self.arch == "mlp" and not self.hidden:
             raise ValueError("an MLP needs at least one hidden layer")
+        if any(h < 1 for h in self.hidden):
+            raise ValueError(f"trainer.hidden: layer sizes must be at least 1, got {list(self.hidden)}")
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -16,6 +16,9 @@ That count is exactly the entry's position in a stable argsort of the row,
 without sorting. Blocks are chosen by partitioning their norms at the
 boundary value and taking the lowest-index blocks among those equal to it,
 which again equals the first ``count`` entries of a stable argsort.
+An axis threshold needs two order statistics per row, not a sort: one
+single-kth ``np.partition`` at the largest pruned rank, then the minimum of
+the entries above it, which is exact under ties.
 """
 from __future__ import annotations
 
@@ -239,18 +242,24 @@ def _kept_count(length: int, p: float) -> int:
 
 def _row_thresholds(mags: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of a (rows, L) magnitude array at sparse rate p: the smallest
-    kept magnitude, the largest pruned one, and their midpoint."""
-    length = mags.shape[1]
-    k = _kept_count(length, p)
-    ordered = np.sort(mags, axis=1)
-    high, low = ordered[:, length - k], ordered[:, length - k - 1]
+    kept magnitude, the largest pruned one, and their midpoint.
+
+    Partitions ``mags`` in place.
+    """
+    r = mags.shape[1] - _kept_count(mags.shape[1], p) - 1
+    mags.partition(r, axis=1)
+    high, low = mags[:, r + 1 :].min(axis=1), mags[:, r].copy()
     return high, low, (high + low) / 2.0
 
 
 def _row_scores(mags: np.ndarray, p: float, tau: float) -> np.ndarray:
-    """sigmoid((mags - row midpoint) / tau) for a (rows, L) magnitude array."""
-    _, _, sigma = _row_thresholds(mags, p)
-    return expit((mags - sigma[:, None]) / tau)
+    """sigmoid((mags - row midpoint) / tau) for a (rows, L) magnitude array,
+    computed in one scratch array that first holds the partitioned copy."""
+    buf = mags.copy()
+    _, _, sigma = _row_thresholds(buf, p)
+    np.subtract(mags, sigma[:, None], out=buf)
+    buf /= tau
+    return expit(buf, out=buf)
 
 
 def _one_row(v) -> np.ndarray:
@@ -287,7 +296,7 @@ def kernel_axis_scores(w: WeightTensor4, pattern: SparsePattern, tau: float) -> 
     if w.c_in % pattern.m != 0:
         raise DimensionError(f"pattern {pattern} does not divide c_in={w.c_in}")
     # group (k1, k2): one vector of length c_out*c_in per kernel position
-    mags = np.abs(w.values.transpose(2, 3, 0, 1)).reshape(w.k_h * w.k_w, -1)
+    mags = np.abs(w.values.transpose(2, 3, 0, 1), order="C").reshape(w.k_h * w.k_w, -1)
     scores = _row_scores(mags, pattern.sparse_rate, tau)
     return scores.reshape(w.k_h, w.k_w, w.c_out, w.c_in).transpose(2, 3, 0, 1)
 
@@ -302,7 +311,10 @@ def soft_mask(hard: HardMask, sf: np.ndarray, sk: np.ndarray) -> SoftMask:
         )
     filt = block_layout(sf, hard.m)
     kern = block_layout(sk, hard.m)
-    return SoftMask(hard.bits * (1.0 + filt + kern))
+    values = np.add(filt, 1.0)
+    values += kern
+    values *= hard.bits
+    return SoftMask(values)
 
 
 def fold(weight: np.ndarray, soft: SoftMask) -> np.ndarray:

@@ -178,19 +178,26 @@ def sr_ste_step(
     lr: float,
     velocity: Velocity,
 ) -> None:
-    """One in-place SGD step with momentum and mask-gated decay."""
+    """One in-place SGD step with momentum and mask-gated decay.
+
+    Updates the weights, the biases and the ``velocity.w`` arrays in place;
+    the gradients are only read. Each weight array costs one temporary.
+    """
     grads_w, grads_b = grads
-    sr = config.sr_weight
-    wd = config.weight_decay
+    sr = float(config.sr_weight)  # a float gate, so the products below can be taken in place
+    wd = float(config.weight_decay)
     for i, layer in enumerate(model.layers):
         if layer.name in masks:
             hard, _ = masks[layer.name]
-            coeff = np.where(block_layout_inverse(hard.bits, layer.weight.shape), wd, sr)
+            update = np.where(block_layout_inverse(hard.bits, layer.weight.shape), wd, sr)
+            update *= layer.weight
         else:
-            coeff = wd
-        update = grads_w[i] + coeff * layer.weight
-        velocity.w[i] = config.momentum * velocity.w[i] + update
-        layer.weight -= lr * velocity.w[i]
+            update = layer.weight * wd
+        update += grads_w[i]
+        velocity.w[i] *= config.momentum
+        velocity.w[i] += update
+        np.multiply(velocity.w[i], lr, out=update)
+        layer.weight -= update
         velocity.b[i] = config.momentum * velocity.b[i] + grads_b[i]
         layer.bias -= lr * velocity.b[i]
 

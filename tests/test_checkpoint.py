@@ -115,6 +115,29 @@ def test_resume_from_midpoint_checkpoint_matches_full_run(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
+def test_run_training_resumed_from_midpoint_writes_the_same_bytes(tmp_path):
+    config = run_config(tmp_path, out_name="resume_bytes")
+    _, out_dir = runner.run_training(config)
+    full = {name: (out_dir / name).read_bytes() for name in ("metrics.csv", "checkpoint.maxq")}
+
+    dataset = datasets.build(config.dataset)
+    part = training.fit(runner.build_model(config, dataset), dataset, config.to_train_config(), stop_epoch=3)
+    mid = tmp_path / "mid.maxq"
+    save_checkpoint(
+        mid,
+        Checkpoint(
+            config=config,
+            epoch=3,
+            iteration=part.iteration,
+            model=part.model,
+            velocity=part.velocity,
+            metrics_csv=training.metrics_to_csv(part.metrics),
+        ),
+    )
+    runner.run_training(config, resume_from=mid)
+    assert {name: (out_dir / name).read_bytes() for name in full} == full
+
+
 def test_run_training_writes_artifacts_and_resume_cli_path(tmp_path):
     config = run_config(tmp_path, out_name="artifacts")
     result, out_dir = runner.run_training(config)

@@ -217,6 +217,8 @@ MALFORMED_CONFIGS = {
     "pattern_without_m": lambda doc, _: ({**doc, "pattern": {"n": 2}}, "pattern.m"),
     "string_epochs": lambda doc, _: (_set(doc, "trainer", "epochs", "10"), "trainer.epochs"),
     "int_hidden": lambda doc, _: (_set(doc, "trainer", "hidden", 5), "trainer.hidden"),
+    "zero_hidden": lambda doc, _: (_set(doc, "trainer", "hidden", [0]), "trainer.hidden"),
+    "negative_hidden": lambda doc, _: (_set(doc, "trainer", "hidden", [32, -1]), "trainer.hidden"),
     "string_pattern": lambda doc, _: ({**doc, "pattern": "2:4"}, "pattern"),
     "null_batch_size": lambda doc, _: (_set(doc, "trainer", "batch_size", None), "trainer.batch_size"),
     "truncated_idx": _truncated_idx_dataset,

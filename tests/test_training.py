@@ -361,3 +361,16 @@ def test_sr_ste_step_matches_clipped_soft_interpolation_bit_for_bit():
         for i, layer in enumerate(model.layers):
             assert np.array_equal(velocity.w[i], expected_v[i])
             assert np.array_equal(layer.weight, expected_w[i])
+
+
+def test_sr_ste_step_leaves_gradients_unchanged():
+    rng = np.random.default_rng(24)
+    cfg = small_config()
+    model = fresh_model(seed=25, sizes=(2, 32, 32, 2))
+    masks = training.compute_step_masks(model, cfg, 0.6)
+    grads_w = [rng.normal(size=l.weight.shape) for l in model.layers]
+    grads_b = [rng.normal(size=l.bias.shape) for l in model.layers]
+    saved = [g.copy() for g in grads_w + grads_b]
+    training.sr_ste_step(model, (grads_w, grads_b), masks, cfg, 0.05, training.Velocity.zeros_like(model))
+    for g, s in zip(grads_w + grads_b, saved):
+        np.testing.assert_array_equal(g, s)
