@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .checkpoint import atomic_write_bytes
+from .checkpoint import atomic_writer
 from .masks import SparsePattern
 from .sparse_format import CompressedNM, compress
 from .tensors import WeightTensor4
@@ -102,9 +102,8 @@ def save_folded_archive(path: str | Path, folded: FoldedModel) -> None:
     for l in folded.layers:
         arrays[f"w_{l.name}"] = l.weight.values
         arrays[f"b_{l.name}"] = l.bias
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    atomic_write_bytes(path, buf.getvalue())
+    with atomic_writer(path) as fh:
+        np.savez(fh, **arrays)
 
 
 def load_folded_archive(path: str | Path) -> FoldedModel:
@@ -143,39 +142,32 @@ def _read_folded(data) -> FoldedModel:
 
 def save_compressed_archive(path: str | Path, folded: FoldedModel, pattern: SparsePattern) -> None:
     """Compress eligible layers; store dense layers as f32 arrays."""
-    entries: list[tuple[str, bytes]] = []
-    manifest: dict = {"format": "nmsparse-compressed", "version": 1, "pattern": str(pattern), "layers": []}
-    for l in folded.layers:
-        if l.eligible:
-            blob = compress(l.weight, pattern).to_bytes()
-            file_name = f"{l.name}.nmsp"
-        else:
-            buf = io.BytesIO()
-            np.save(buf, l.weight.values.astype(np.float32))
-            blob = buf.getvalue()
-            file_name = f"{l.name}.npy"
-        bias_buf = io.BytesIO()
-        np.save(bias_buf, l.bias.astype(np.float32))
-        entries.append((file_name, blob))
-        entries.append((f"{l.name}.bias.npy", bias_buf.getvalue()))
-        manifest["layers"].append(
-            {
-                "name": l.name,
-                "kind": l.kind,
-                "file": file_name,
-                "bias_file": f"{l.name}.bias.npy",
-                "dims": list(l.weight.dims),
-                "eligible": l.eligible,
-                "stride": l.stride,
-                "padding": l.padding,
-            }
-        )
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", compression=zipfile.ZIP_STORED) as zf:
+    layers = [
+        {
+            "name": l.name,
+            "kind": l.kind,
+            "file": f"{l.name}.nmsp" if l.eligible else f"{l.name}.npy",
+            "bias_file": f"{l.name}.bias.npy",
+            "dims": list(l.weight.dims),
+            "eligible": l.eligible,
+            "stride": l.stride,
+            "padding": l.padding,
+        }
+        for l in folded.layers
+    ]
+    manifest = {"format": "nmsparse-compressed", "version": 1, "pattern": str(pattern), "layers": layers}
+    with atomic_writer(path) as fh, zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_STORED) as zf:
         zf.writestr("manifest.json", json.dumps(manifest, indent=2))
-        for name, blob in entries:
-            zf.writestr(name, blob)
-    atomic_write_bytes(path, buf.getvalue())
+        for l, entry in zip(folded.layers, layers):
+            blob = compress(l.weight, pattern).to_bytes() if l.eligible else _npy_bytes(l.weight.values)
+            zf.writestr(entry["file"], blob)
+            zf.writestr(entry["bias_file"], _npy_bytes(l.bias))
+
+
+def _npy_bytes(a: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, a.astype(np.float32))
+    return buf.getvalue()
 
 
 def load_compressed_archive(path: str | Path) -> list[tuple[dict, CompressedNM | np.ndarray]]:

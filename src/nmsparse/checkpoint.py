@@ -11,6 +11,7 @@ and masks are recomputed from the stored weights.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import tempfile
@@ -40,19 +41,28 @@ class Checkpoint:
     metrics_csv: str
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename."""
+@contextlib.contextmanager
+def atomic_writer(path: str | Path):
+    """Yield a binary temp file in the same directory; rename it to ``path`` on success.
+
+    On any exception the temp file is deleted and ``path`` is left as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    with atomic_writer(path) as fh:
+        fh.write(data)
 
 
 def _array_parts(a: np.ndarray) -> list:

@@ -8,7 +8,8 @@ through a scipy CSR matrix built once per tensor.
 
 Serialized layout (little-endian): magic ``NMSP``, version u16, n u8, m u8,
 origin dims 4 x u32, block count u64, then per block n x f32 values
-followed by the packed index stream, byte-aligned per block.
+followed by the packed index stream, byte-aligned per block. The one-byte
+m field limits the format to blocks of at most 255 weights.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from scipy import sparse
 from .errors import DimensionError, PatternViolationError
 from .im2col import im2col
 from .masks import SparsePattern
-from .tensors import BlockMatrix, Dims4, WeightTensor4, block_layout, rearrange_from_blocks, rearrange_to_blocks
+from .tensors import BlockMatrix, Dims4, WeightTensor4, block_layout, rearrange_from_blocks
 
 MAGIC = b"NMSP"
 VERSION = 1
@@ -32,6 +33,11 @@ _HEADER = struct.Struct("<4sHBB4IQ")
 def _index_bits(m: int) -> int:
     """Serialized width of one block index: ceil(log2 m) bits (m >= 2)."""
     return (m - 1).bit_length()
+
+
+def _check_block_width(pattern: SparsePattern) -> None:
+    if pattern.m > 255:
+        raise ValueError(f"pattern {pattern}: the .nmsp header stores m in one byte, so m must be at most 255")
 
 
 @dataclass(eq=False)
@@ -45,8 +51,9 @@ class CompressedNM:
     _csr: sparse.csr_matrix | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        _check_block_width(self.pattern)
         vals = np.asarray(self.values, dtype=np.float32)
-        idx = np.asarray(self.indices, dtype=np.uint8)
+        idx = np.asarray(self.indices)
         n, m = self.pattern.n, self.pattern.m
         c_out, c_in, k_h, k_w = self.origin_dims
         if c_in % m != 0:
@@ -56,10 +63,12 @@ class CompressedNM:
             raise DimensionError(
                 f"expected (g={g_expected}, n={n}) values/indices, got {vals.shape}/{idx.shape}"
             )
-        if idx.size and (idx.max() >= m or (n > 1 and not (np.diff(idx.astype(np.int64), axis=1) > 0).all())):
+        if idx.size and (
+            idx.min() < 0 or idx.max() >= m or (n > 1 and not (np.diff(idx.astype(np.int64), axis=1) > 0).all())
+        ):
             raise DimensionError("block indices must be strictly increasing in [0, m)")
         self.values = vals
-        self.indices = idx
+        self.indices = idx.astype(np.uint8, copy=False)
         self.origin_dims = tuple(int(d) for d in self.origin_dims)
 
     @property
@@ -101,11 +110,14 @@ class CompressedNM:
 
     def to_bytes(self) -> bytes:
         n, m, bits = self.pattern.n, self.pattern.m, self.index_bits
-        header = _HEADER.pack(MAGIC, VERSION, n, m, *self.origin_dims, self.g)
         unpacked = np.unpackbits(self.indices[:, :, None], axis=2, count=bits, bitorder="little")
         packed = np.packbits(unpacked.reshape(self.g, n * bits), axis=1, bitorder="little")
+        block_bytes = 4 * n + packed.shape[1]
+        out = np.empty(_HEADER.size + self.g * block_bytes, dtype=np.uint8)
+        _HEADER.pack_into(out, 0, MAGIC, VERSION, n, m, *self.origin_dims, self.g)
         value_bytes = np.ascontiguousarray(self.values, dtype="<f4").view(np.uint8)
-        return header + np.concatenate([value_bytes, packed], axis=1).tobytes()
+        np.concatenate([value_bytes, packed], axis=1, out=out[_HEADER.size :].reshape(self.g, block_bytes))
+        return out.tobytes()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CompressedNM":
@@ -129,11 +141,18 @@ class CompressedNM:
         return cls(pattern, (d0, d1, d2, d3), values, indices)
 
 
+def _block_nonzeros(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, g) nonzero flags, one contiguous row per block column, and each block's nonzero count."""
+    nonzero = np.ascontiguousarray(np.not_equal(blocks, 0.0).T)
+    return nonzero, nonzero.sum(axis=0, dtype=np.min_scalar_type(blocks.shape[1]))
+
+
 def compress(w: WeightTensor4, pattern: SparsePattern) -> CompressedNM:
     """Encode a pattern-compliant tensor; raises naming the first bad block."""
-    bm = rearrange_to_blocks(w, pattern.m)
-    nonzero = bm.values != 0.0
-    counts = nonzero.sum(axis=1)
+    _check_block_width(pattern)
+    n, m = pattern.n, pattern.m
+    blocks = block_layout(w.values, m)
+    nonzero, counts = _block_nonzeros(blocks)
     bad = np.nonzero(counts > pattern.n)[0]
     if bad.size:
         first = int(bad[0])
@@ -141,11 +160,19 @@ def compress(w: WeightTensor4, pattern: SparsePattern) -> CompressedNM:
             first,
             f"block {first} has {int(counts[first])} nonzeros, pattern {pattern} allows {pattern.n}",
         )
-    # nonzero indices first (ascending), then zero positions ascending as padding
-    order = np.argsort(np.where(nonzero, 0, 1), axis=1, kind="stable")
-    indices = np.sort(order[:, : pattern.n], axis=1)
-    values = np.take_along_axis(bm.values, indices, axis=1)
-    return CompressedNM(pattern, w.dims, values.astype(np.float32), indices.astype(np.uint8))
+    # A block stores all its nonzeros plus zeros at the smallest free indices,
+    # so column j is kept iff it is nonzero or fewer than n - count zeros lie
+    # left of it, i.e. n - count + (nonzeros left of j) > j.
+    reach = n - counts
+    kept = np.empty_like(nonzero)
+    for j in range(m):
+        np.greater(reach, j, out=kept[j])
+        kept[j] |= nonzero[j]
+        reach += nonzero[j]
+    slots = np.flatnonzero(kept.T.copy())  # n per block, row-major
+    indices = np.tile(np.arange(m, dtype=np.uint8), blocks.shape[0])[slots]
+    values = blocks.reshape(-1)[slots].astype(np.float32)
+    return CompressedNM(pattern, w.dims, values.reshape(-1, n), indices.reshape(-1, n))
 
 
 def decompress(c: CompressedNM) -> WeightTensor4:
@@ -199,13 +226,12 @@ class ComplianceReport:
 
 def verify(w: WeightTensor4, pattern: SparsePattern) -> ComplianceReport:
     """Count blocks carrying more than n nonzeros; report achieved sparsity."""
-    bm = rearrange_to_blocks(w, pattern.m)
-    counts = (bm.values != 0.0).sum(axis=1)
+    _, counts = _block_nonzeros(block_layout(w.values, pattern.m))
     return ComplianceReport(
         pattern=pattern,
-        blocks=bm.g,
+        blocks=counts.size,
         violating_blocks=int((counts > pattern.n).sum()),
-        sparsity=float((w.values == 0.0).mean()),
+        sparsity=(w.values.size - int(counts.sum())) / w.values.size,
     )
 
 

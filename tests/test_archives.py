@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import zipfile
@@ -14,6 +15,7 @@ from nmsparse.archives import (
     save_folded_archive,
 )
 from nmsparse.cli import main
+from nmsparse.errors import PatternViolationError
 from nmsparse.masks import SparsePattern
 from nmsparse.sparse_format import CompressedNM
 from nmsparse.tensors import BlockMatrix, WeightTensor4, rearrange_from_blocks, rearrange_to_blocks
@@ -70,6 +72,52 @@ def test_deflated_nmz_loads_like_the_stored_archive(archives):
         else:
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
+
+
+# (name, compress_type, SHA-256 of the member bytes) in archive order. Zip
+# timestamps differ between runs, so the members are compared, not the files.
+GOLDEN_MEMBERS = {
+    "stored_nmz": [
+        ("manifest.json", zipfile.ZIP_STORED, "fd8de88c232d2ae38f3cfbc9bfd9747b9f9f9ec59a8d5324c21f4d8f294127c1"),
+        ("fc0.nmsp", zipfile.ZIP_STORED, "e10d61e7282c3d4b0c3aaef0fafb2430e156f3a89738f405bbe91c2c8998ad58"),
+        ("fc0.bias.npy", zipfile.ZIP_STORED, "3213a6ddf7e4be9b32a493c3769a4b71b2bed484d9cc8dfafd26dbe063d25922"),
+        ("fc1.npy", zipfile.ZIP_STORED, "658f38c7969f09e3a1df1c9c04582fba87cdee6ad070ce48eac43036ef2d4e0f"),
+        ("fc1.bias.npy", zipfile.ZIP_STORED, "99feaaf8670399bdbe74cab3030947c2e17a1779d197c7c4d7e1cb876d406228"),
+    ],
+    "folded_npz": [
+        ("manifest.npy", zipfile.ZIP_STORED, "7d609960e8f307c6750e9edf249e0723a75cc6d86e6fdf9139fbaa902cd5d4e5"),
+        ("w_fc0.npy", zipfile.ZIP_STORED, "4701d905a04f18ba824800a222183ad8d9187009d40931226e71c3e4aa093db0"),
+        ("b_fc0.npy", zipfile.ZIP_STORED, "47ba5ed70e454ffcb16658c0c2a64efde76f53a58f4920882d7329ff9f5dc068"),
+        ("w_fc1.npy", zipfile.ZIP_STORED, "fbefea8d19b394527282e4040b0b167363796b760a8116c81414f0eed860837e"),
+        ("b_fc1.npy", zipfile.ZIP_STORED, "fe1f42086d569a805c970b1c27c0a11fe155b2ed41bf62c5daf7db3de4595deb"),
+    ],
+}
+
+
+@pytest.mark.parametrize("which", sorted(GOLDEN_MEMBERS))
+def test_archive_members_match_golden_digests(archives, which):
+    with zipfile.ZipFile(archives[which]) as zf:
+        got = [(i.filename, i.compress_type, hashlib.sha256(zf.read(i)).hexdigest()) for i in zf.infolist()]
+    assert got == GOLDEN_MEMBERS[which]
+
+
+def test_failed_compressed_write_leaves_the_old_archive_and_no_temp_file(tmp_path, capsys):
+    folded = small_folded_model()  # 2:4 compliant, so 1:4 fails on the first eligible layer
+    target = tmp_path / "model.nmz"
+    save_compressed_archive(target, folded, PATTERN)
+    before = target.read_bytes()
+    with pytest.raises(PatternViolationError):
+        save_compressed_archive(target, folded, SparsePattern(1, 4))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.nmz"]
+    assert target.read_bytes() == before
+
+    weights = tmp_path / "folded.npz"
+    save_folded_archive(weights, folded)
+    assert main(["compress", "--weights", str(weights), "--pattern", "1:4", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: [^\n]*nonzeros[^\n]*\n", err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folded.npz", "model.nmz"]
+    assert target.read_bytes() == before
 
 
 @pytest.mark.parametrize("which", ["stored_nmz", "deflated_nmz", "folded_npz"])

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.signal import correlate2d
 
 from nmsparse.errors import DimensionError, PatternViolationError
@@ -17,7 +17,7 @@ from nmsparse.sparse_format import (
     spmm,
     verify,
 )
-from nmsparse.tensors import WeightTensor4, block_layout_inverse, rearrange_to_blocks
+from nmsparse.tensors import WeightTensor4, block_layout, block_layout_inverse, rearrange_to_blocks
 
 HEADER = struct.Struct("<4sHBB4IQ")
 
@@ -67,6 +67,77 @@ def test_compress_rejects_violations_naming_first_block():
     with pytest.raises(PatternViolationError) as exc:
         compress(w, SparsePattern(2, 4))
     assert exc.value.block == 1
+
+
+def reference_compress(w, pattern):
+    """Argsort encoder: nonzero indices first, then zero positions as padding, both ascending."""
+    blocks = block_layout(w.values, pattern.m)
+    nonzero = blocks != 0.0
+    counts = nonzero.sum(axis=1)
+    bad = np.nonzero(counts > pattern.n)[0]
+    if bad.size:
+        raise PatternViolationError(int(bad[0]), "reference")
+    order = np.argsort(np.where(nonzero, 0, 1), axis=1, kind="stable")
+    indices = np.sort(order[:, : pattern.n], axis=1)
+    values = np.take_along_axis(blocks, indices, axis=1)
+    return CompressedNM(pattern, w.dims, values.astype(np.float32), indices.astype(np.uint8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.sampled_from([4, 7, 8, 16]),
+    n_frac=st.floats(0.0, 1.0),
+    c_out=st.integers(1, 3),
+    c_in_blocks=st.integers(1, 2),
+    kernel=st.sampled_from([(1, 1), (3, 3), (2, 3)]),
+    overfull=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=255, n_frac=0.5, c_out=2, c_in_blocks=1, kernel=(1, 1), overfull=False, seed=0)
+@example(m=255, n_frac=1.0, c_out=1, c_in_blocks=1, kernel=(3, 3), overfull=True, seed=1)
+def test_compress_matches_argsort_reference(m, n_frac, c_out, c_in_blocks, kernel, overfull, seed):
+    n = 1 + round(n_frac * (m - 2))
+    dims = (c_out, m * c_in_blocks, *kernel)
+    g = c_out * c_in_blocks * kernel[0] * kernel[1]
+    rng = np.random.default_rng(seed)
+    # each block holds 0..n nonzeros (all-zero and under-full blocks included);
+    # its zeros are a mix of 0.0 and -0.0, and -0.0 counts as a zero
+    counts = rng.integers(0, n + 1, size=g)
+    if overfull:
+        counts[rng.integers(0, g)] = n + 1
+    blocks = np.where(rng.random((g, m)) < 0.5, -0.0, 0.0)
+    for b, k in enumerate(counts):
+        cols = rng.choice(m, size=k, replace=False)
+        blocks[b, cols] = rng.choice([-2.5, -1.0, 0.5, 3.0], size=k)
+    w = WeightTensor4(block_layout_inverse(blocks, dims))
+    pattern = SparsePattern(n, m)
+    try:
+        want = reference_compress(w, pattern)
+    except PatternViolationError as exc:
+        with pytest.raises(PatternViolationError) as got:
+            compress(w, pattern)
+        assert got.value.block == exc.block
+        return
+    c = compress(w, pattern)
+    assert c.values.tobytes() == want.values.tobytes()  # bytes, so the sign of -0.0 counts
+    np.testing.assert_array_equal(c.indices, want.indices)
+    assert c.indices.dtype == np.uint8
+    assert c.to_bytes() == want.to_bytes()
+
+
+def test_block_widths_above_255_are_rejected():
+    w = np.zeros((1, 300, 1, 1))
+    w[0, 280] = 1.5
+    with pytest.raises(ValueError, match="one byte"):
+        compress(WeightTensor4(w), SparsePattern(1, 300))
+    with pytest.raises(ValueError, match="one byte"):
+        CompressedNM(SparsePattern(1, 300), (1, 300, 1, 1), [[1.5]], [[280]])
+
+
+@pytest.mark.parametrize("bad", [[[0, 257]], [[-254, 3]], [[0, 4]], [[2, 1]], [[1, 1]]])
+def test_out_of_range_indices_are_rejected_before_the_uint8_cast(bad):
+    with pytest.raises(DimensionError, match="strictly increasing"):
+        CompressedNM(SparsePattern(2, 4), (1, 4, 1, 1), [[1.0, 2.0]], np.array(bad))
 
 
 def test_round_trip_on_random_masked_tensors():
