@@ -136,6 +136,8 @@ def _read_folded(data) -> FoldedModel:
         )
         for entry in manifest["layers"]
     ]
+    if bad := [l.name for l in layers if l.stride < 1 or l.padding < 0]:
+        raise ValueError(f"layer(s) {', '.join(bad)} need stride >= 1 and padding >= 0")
     pattern = None if pattern_str is None else SparsePattern.parse(pattern_str)
     return FoldedModel(layers, pattern)
 

@@ -107,6 +107,8 @@ def _parse_layers(blob: memoryview) -> tuple[nn.Model, Velocity]:
         off += name_len
         kind_code, eligible, stride, padding = struct.unpack_from("<BBHH", blob, off)
         off += 6
+        if stride < 1:
+            raise ValueError(f"layer {name!r} has stride 0")
         weight, off = _read_array(blob, off)
         bias, off = _read_array(blob, off)
         vw, off = _read_array(blob, off)
@@ -127,7 +129,7 @@ def _parse_layers(blob: memoryview) -> tuple[nn.Model, Velocity]:
     return nn.Model(layers), Velocity(vel_w, vel_b)
 
 
-def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
+def _checkpoint_parts(ckpt: Checkpoint) -> list:
     sections = [
         [ckpt.config.to_json().encode()],
         [struct.pack("<QQ", ckpt.epoch, ckpt.iteration)],
@@ -138,11 +140,17 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     for tag, section in zip(_SECTIONS, sections):
         parts.append(tag + struct.pack("<Q", sum(len(p) for p in section)))
         parts += section
-    return b"".join(parts)
+    return parts
+
+
+def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
+    return b"".join(_checkpoint_parts(ckpt))
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    atomic_write_bytes(path, checkpoint_bytes(ckpt))
+    """Stream the checkpoint's parts to disk without joining them first."""
+    with atomic_writer(path) as fh:
+        fh.writelines(_checkpoint_parts(ckpt))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -6,12 +6,14 @@ weight matrix used by the dense and sparse GEMM paths.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError
 
 
 def conv_output_size(h: int, w: int, k_h: int, k_w: int, stride: int, padding: int) -> tuple[int, int]:
+    if stride < 1 or padding < 0:
+        raise DimensionError(f"stride {stride} must be >= 1 and padding {padding} >= 0")
     oh = (h + 2 * padding - k_h) // stride + 1
     ow = (w + 2 * padding - k_w) // stride + 1
     if oh < 1 or ow < 1:
@@ -22,16 +24,20 @@ def conv_output_size(h: int, w: int, k_h: int, k_w: int, stride: int, padding: i
 
 
 def im2col(x: np.ndarray, k_h: int, k_w: int, stride: int = 1, padding: int = 0) -> tuple[np.ndarray, tuple[int, int]]:
-    """Lower a (B, C, H, W) batch to (B, C*k_h*k_w, oh*ow) patch matrices."""
+    """Lower a (B, C, H, W) batch to (B, C*k_h*k_w, oh*ow) patch matrices.
+
+    The result is a fresh, writable, C-contiguous array: the input goes into
+    a zero-padded buffer, and one copy lays out a strided window view of it.
+    """
     if x.ndim != 4:
         raise DimensionError(f"expected a (B, C, H, W) input, got {x.ndim}D")
     b, c, h, w = x.shape
     oh, ow = conv_output_size(h, w, k_h, k_w, stride, padding)
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = sliding_window_view(x, (k_h, k_w), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k_h * k_w, oh * ow)
-    return np.ascontiguousarray(cols), (oh, ow)
+    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding : padding + h, padding : padding + w] = x
+    s0, s1, s2, s3 = xp.strides
+    win = as_strided(xp, (b, c, k_h, k_w, oh, ow), (s0, s1, s2, s3, stride * s2, stride * s3))
+    return np.ascontiguousarray(win).reshape(b, c * k_h * k_w, oh * ow), (oh, ow)
 
 
 def col2im(

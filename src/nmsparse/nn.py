@@ -141,7 +141,11 @@ def backward(
     caches: list[dict],
     dlogits: np.ndarray,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradients of the loss w.r.t. the weights used in ``forward`` and the biases."""
+    """Gradients of the loss w.r.t. the weights used in ``forward`` and the biases.
+
+    The gradient w.r.t. the network input is never needed, so the pass stops
+    after layer 0's weight and bias gradients.
+    """
     grads_w: list[np.ndarray] = [np.empty(0)] * len(model.layers)
     grads_b: list[np.ndarray] = [np.empty(0)] * len(model.layers)
     dh = dlogits
@@ -154,6 +158,8 @@ def backward(
             w2 = w.reshape(layer.c_out, -1)
             grads_w[i] = (dh.T @ x).reshape(w.shape)
             grads_b[i] = dh.sum(axis=0)
+            if i == 0:
+                break
             dh = dh @ w2
             if "unflatten" in cache:
                 dh = dh.reshape(cache["unflatten"])
@@ -164,6 +170,8 @@ def backward(
             cols = cache["cols"]
             grads_w[i] = np.tensordot(dmat, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
             grads_b[i] = dmat.sum(axis=(0, 2))
+            if i == 0:
+                break
             w_mat = w.reshape(c_out, -1)
             dcols = w_mat.T @ dmat
             dh = col2im(dcols, cache["in_shape"], k_h, k_w, layer.stride, layer.padding)
