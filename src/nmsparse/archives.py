@@ -136,10 +136,15 @@ def _read_folded(data) -> FoldedModel:
         )
         for entry in manifest["layers"]
     ]
-    if bad := [l.name for l in layers if l.stride < 1 or l.padding < 0]:
-        raise ValueError(f"layer(s) {', '.join(bad)} need stride >= 1 and padding >= 0")
+    _check_geometry([(l.name, l.stride, l.padding) for l in layers])
     pattern = None if pattern_str is None else SparsePattern.parse(pattern_str)
     return FoldedModel(layers, pattern)
+
+
+def _check_geometry(layers: list[tuple[str, int, int]]) -> None:
+    """Reject (name, stride, padding) triples that im2col cannot lower."""
+    if bad := [name for name, stride, padding in layers if stride < 1 or padding < 0]:
+        raise ValueError(f"layer(s) {', '.join(bad)} need stride >= 1 and padding >= 0")
 
 
 def save_compressed_archive(path: str | Path, folded: FoldedModel, pattern: SparsePattern) -> None:
@@ -190,6 +195,7 @@ def _read_compressed(zf: zipfile.ZipFile) -> list[tuple[dict, CompressedNM | np.
     manifest = json.loads(zf.read("manifest.json").decode())
     if manifest.get("format") != "nmsparse-compressed":
         raise ValueError("not a compressed archive")
+    _check_geometry([(e["name"], int(e["stride"]), int(e["padding"])) for e in manifest["layers"]])
     out = []
     for entry in manifest["layers"]:
         blob = zf.read(entry["file"])

@@ -10,9 +10,18 @@ Serialized layout (little-endian): magic ``NMSP``, version u16, n u8, m u8,
 origin dims 4 x u32, block count u64, then per block n x f32 values
 followed by the packed index stream, byte-aligned per block. The one-byte
 m field limits the format to blocks of at most 255 weights.
+
+Index t of a block sits at bit t * bits of the block's little-endian index
+field, bits = ceil(log2 m); the encoder leaves the bits above n * bits zero
+and the decoder ignores them. The codec packs k = 8 / gcd(bits, 8) indices
+at a time: they fill exactly k * bits / 8 bytes (at most 7), so a chunk is
+one integer built with shifts, in uint8 at bits 1, 2, 4 and 8 and in a 4- or
+8-byte accumulator otherwise, whose low bytes are written. A last partial
+chunk writes only the bytes the field has.
 """
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -33,6 +42,53 @@ _HEADER = struct.Struct("<4sHBB4IQ")
 def _index_bits(m: int) -> int:
     """Serialized width of one block index: ceil(log2 m) bits (m >= 2)."""
     return (m - 1).bit_length()
+
+
+def _index_chunk(bits: int) -> tuple[int, int, np.dtype]:
+    """Indices per chunk, bytes per chunk and the accumulator dtype of one chunk."""
+    k = 8 // math.gcd(bits, 8)
+    chunk_bytes = k * bits // 8
+    return k, chunk_bytes, np.dtype("u1" if chunk_bytes == 1 else "<u4" if chunk_bytes <= 4 else "<u8")
+
+
+def _pack_indices(indices: np.ndarray, bits: int) -> np.ndarray:
+    """(g, n) uint8 indices below 2**bits -> (g, ceil(n*bits/8)) index fields."""
+    g, n = indices.shape
+    k, chunk_bytes, acc_type = _index_chunk(bits)
+    acc = indices[:, ::k].astype(acc_type)
+    for s in range(1, k):
+        part = indices[:, s::k]
+        acc[:, : part.shape[1]] |= np.left_shift(part, s * bits, dtype=acc_type)
+    if chunk_bytes == 1:
+        return acc
+    chunks = acc.shape[1]
+    field = acc.view(np.uint8).reshape(g, chunks, acc_type.itemsize)[:, :, :chunk_bytes]
+    return field.reshape(g, chunks * chunk_bytes)[:, : (n * bits + 7) // 8]
+
+
+def _unpack_indices(field: np.ndarray, n: int, bits: int) -> np.ndarray:
+    """Inverse of :func:`_pack_indices`; the bits above n*bits are ignored."""
+    g, field_bytes = field.shape
+    k, chunk_bytes, acc_type = _index_chunk(bits)
+    if chunk_bytes == 1:
+        acc = field
+    else:
+        chunks, full = -(-n // k), field_bytes // chunk_bytes
+        padded = np.zeros((g, chunks, acc_type.itemsize), dtype=np.uint8)
+        padded[:, :full, :chunk_bytes] = field[:, : full * chunk_bytes].reshape(g, full, chunk_bytes)
+        # a partial last chunk holds only the bytes left in the field
+        padded[:, full:, : field_bytes - full * chunk_bytes] = field[:, None, full * chunk_bytes :]
+        acc = padded.view(acc_type).reshape(g, chunks)
+    out = np.empty((g, n), dtype=np.uint8)
+    for s in range(k):
+        part = out[:, s::k]
+        np.bitwise_and(acc[:, : part.shape[1]] >> (s * bits), (1 << bits) - 1, out=part, casting="unsafe")
+    return out
+
+
+def _value_rows(buffer, g: int, n: int, block_bytes: int) -> np.ndarray:
+    """(g,) view of each block's n f32 values as one opaque item, so copies move whole rows."""
+    return np.ndarray((g,), f"V{4 * n}", buffer=buffer, offset=_HEADER.size, strides=(block_bytes,))
 
 
 def _check_block_width(pattern: SparsePattern) -> None:
@@ -63,12 +119,13 @@ class CompressedNM:
             raise DimensionError(
                 f"expected (g={g_expected}, n={n}) values/indices, got {vals.shape}/{idx.shape}"
             )
-        if idx.size and (
-            idx.min() < 0 or idx.max() >= m or (n > 1 and not (np.diff(idx.astype(np.int64), axis=1) > 0).all())
-        ):
+        # range first: only indices in [0, m) survive the uint8 cast unchanged
+        in_range = not idx.size or (idx.min() >= 0 and idx.max() < m)
+        idx = idx.astype(np.uint8, copy=False)
+        if not in_range or (n > 1 and not (idx[:, 1:] > idx[:, :-1]).all()):
             raise DimensionError("block indices must be strictly increasing in [0, m)")
         self.values = vals
-        self.indices = idx.astype(np.uint8, copy=False)
+        self.indices = idx
         self.origin_dims = tuple(int(d) for d in self.origin_dims)
 
     @property
@@ -109,14 +166,14 @@ class CompressedNM:
         return self._csr
 
     def to_bytes(self) -> bytes:
-        n, m, bits = self.pattern.n, self.pattern.m, self.index_bits
-        unpacked = np.unpackbits(self.indices[:, :, None], axis=2, count=bits, bitorder="little")
-        packed = np.packbits(unpacked.reshape(self.g, n * bits), axis=1, bitorder="little")
+        n, m = self.pattern.n, self.pattern.m
+        packed = _pack_indices(self.indices, self.index_bits)
         block_bytes = 4 * n + packed.shape[1]
         out = np.empty(_HEADER.size + self.g * block_bytes, dtype=np.uint8)
         _HEADER.pack_into(out, 0, MAGIC, VERSION, n, m, *self.origin_dims, self.g)
-        value_bytes = np.ascontiguousarray(self.values, dtype="<f4").view(np.uint8)
-        np.concatenate([value_bytes, packed], axis=1, out=out[_HEADER.size :].reshape(self.g, block_bytes))
+        values = np.ascontiguousarray(self.values, dtype="<f4")
+        _value_rows(out, self.g, n, block_bytes)[:] = values.view(f"V{4 * n}")[:, 0]
+        out[_HEADER.size :].reshape(self.g, block_bytes)[:, 4 * n :] = packed
         return out.tobytes()
 
     @classmethod
@@ -135,9 +192,8 @@ class CompressedNM:
         if len(blob) != expected:
             raise ValueError(f"expected {expected} bytes, got {len(blob)}")
         body = np.frombuffer(blob, dtype=np.uint8, offset=_HEADER.size).reshape(g, block_bytes)
-        values = body[:, : 4 * n].copy().view("<f4")
-        unpacked = np.unpackbits(body[:, 4 * n :], axis=1, count=n * bits, bitorder="little")
-        indices = np.packbits(unpacked.reshape(g, n, bits), axis=2, bitorder="little")[:, :, 0]
+        values = _value_rows(blob, g, n, block_bytes).copy().view("<f4").reshape(g, n)
+        indices = _unpack_indices(body[:, 4 * n :], n, bits)
         return cls(pattern, (d0, d1, d2, d3), values, indices)
 
 

@@ -132,21 +132,3 @@ def rearrange_from_blocks(bm: BlockMatrix) -> WeightTensor4:
 def block_l1_norms(bm: BlockMatrix) -> np.ndarray:
     """Per-block sum of absolute values, shape (g,)."""
     return np.abs(bm.values).sum(axis=1)
-
-
-def block_of_coord(dims: Dims4, m: int, o: int, c: int, kh: int, kw: int) -> tuple[int, int]:
-    """Map a 4D weight coordinate to its (block row, column)."""
-    c_out, c_in, k_h, k_w = dims
-    cb, j = divmod(c, m)
-    g = ((o * k_h + kh) * k_w + kw) * (c_in // m) + cb
-    return g, j
-
-
-def coord_of_block(dims: Dims4, m: int, g: int, j: int) -> tuple[int, int, int, int]:
-    """Inverse of :func:`block_of_coord`."""
-    c_out, c_in, k_h, k_w = dims
-    g2, cb = divmod(g, c_in // m)
-    g3, kw = divmod(g2, k_w)
-    o, kh = divmod(g3, k_h)
-    return o, cb * m + j, kh, kw
-

@@ -8,7 +8,12 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from nmsparse import datasets, nn, runner, training
-from nmsparse.archives import load_folded_archive, save_folded_archive
+from nmsparse.archives import (
+    load_compressed_archive,
+    load_folded_archive,
+    save_compressed_archive,
+    save_folded_archive,
+)
 from nmsparse.checkpoint import load_checkpoint, save_checkpoint
 from nmsparse.cli import main
 from nmsparse.config import RunConfig
@@ -191,3 +196,18 @@ def test_folded_conv_with_bad_geometry_is_one_error_line(stride, padding, tmp_pa
     bad = tmp_path / "bad.npz"
     save_folded_archive(bad, folded)
     _assert_one_error_line(capsys, ["verify", "--weights", str(bad), "--pattern", "2:4"], bad)
+
+
+@pytest.mark.parametrize("stride, padding", [(0, 1), (1, -1)])
+def test_compressed_conv_with_bad_geometry_is_rejected_at_load(stride, padding, tmp_path, capsys):
+    _, ckpt_path = _trained_cnn(tmp_path)
+    good = tmp_path / "folded.npz"
+    assert main(["fold", "--ckpt", str(ckpt_path), "--out", str(good)]) == 0
+    folded = load_folded_archive(good)
+    folded.layers[1].stride, folded.layers[1].padding = stride, padding
+    bad = tmp_path / "bad.nmz"
+    save_compressed_archive(bad, folded, SparsePattern(2, 4))
+    with pytest.raises(ValueError, match="need stride >= 1 and padding >= 0") as info:
+        load_compressed_archive(bad)
+    assert str(bad) in str(info.value)
+    _assert_one_error_line(capsys, ["bench", "--archive", str(bad), "--reps", "1", "--sizes", "4"], bad)

@@ -209,6 +209,29 @@ def test_golden_bytes_3_of_7():
     assert back.origin_dims == (2, 7, 1, 1)
 
 
+def test_golden_bytes_9_of_100():
+    # 9 indices at 7 bits each: one full chunk of 8 indices in 7 bytes, then
+    # a partial chunk whose one index fills the last byte below a padding bit
+    w = np.zeros((2, 100, 1, 1))
+    w[0, [0, 7, 15, 31, 50, 63, 64, 98, 99], 0, 0] = [1.0, -2.0, 0.5, 4.0, -0.25, 8.0, -1.5, 3.0, -6.0]
+    w[1, [5, 60, 99], 0, 0] = [2.5, -0.75, 1.0]  # under-full: six zeros padded at 0-4 and 6
+    expected = bytes.fromhex(
+        "4e4d5350" "0100" "09" "64"  # magic, version, n, m
+        "02000000" "64000000" "01000000" "01000000"  # origin dims
+        "0200000000000000"  # block count
+        "0000803f" "000000c0" "0000003f" "00008040" "000080be" "00000041" "0000c0bf" "00004040" "0000c0c0"
+        "80c3e323fb01c5" "63"  # 0 7 15 31 50 63 64 98 | 99
+        "00000000" "00000000" "00000000" "00000000" "00000000" "00002040" "00000000" "000040bf" "0000803f"
+        "80806040281878" "63"  # 0 1 2 3 4 5 6 60 | 99
+    )
+    c = compress(WeightTensor4(w), SparsePattern(9, 100))
+    assert c.to_bytes() == expected
+    back = CompressedNM.from_bytes(expected)
+    np.testing.assert_array_equal(back.indices, [[0, 7, 15, 31, 50, 63, 64, 98, 99], [0, 1, 2, 3, 4, 5, 6, 60, 99]])
+    assert back.values.tobytes() == c.values.tobytes()
+    assert back.origin_dims == (2, 100, 1, 1)
+
+
 def reference_to_bytes(c):
     """Per-block, per-index encoder: the format's definition, written as a loop."""
     n, m = c.pattern.n, c.pattern.m
@@ -251,6 +274,70 @@ def test_to_bytes_matches_reference_encoder_and_round_trips(c):
     np.testing.assert_array_equal(back.indices, c.indices)
     # decoded arrays are owned, never read-only views into the blob
     assert back.values.flags.writeable and back.indices.flags.writeable
+
+
+def reference_from_bytes(blob):
+    """The bit-array decoder that shipped before the shift codec, kept as its oracle."""
+    if len(blob) < HEADER.size:
+        raise ValueError("truncated compressed tensor")
+    magic, version, n, m, d0, d1, d2, d3, g = HEADER.unpack_from(blob, 0)
+    if magic != b"NMSP":
+        raise ValueError(f"bad magic {magic!r}")
+    if version != 1:
+        raise ValueError(f"unsupported version {version}")
+    pattern = SparsePattern(n, m)
+    bits = (m - 1).bit_length()
+    block_bytes = 4 * n + (n * bits + 7) // 8
+    expected = HEADER.size + g * block_bytes
+    if len(blob) != expected:
+        raise ValueError(f"expected {expected} bytes, got {len(blob)}")
+    body = np.frombuffer(blob, dtype=np.uint8, offset=HEADER.size).reshape(g, block_bytes)
+    values = body[:, : 4 * n].copy().view("<f4")
+    unpacked = np.unpackbits(body[:, 4 * n :], axis=1, count=n * bits, bitorder="little")
+    indices = np.packbits(unpacked.reshape(g, n, bits), axis=2, bitorder="little")[:, :, 0]
+    return CompressedNM(pattern, (d0, d1, d2, d3), values, indices)
+
+
+@st.composite
+def raw_index_fields(draw):
+    """A .nmsp blob with arbitrary index-field bytes for every index width 1..8.
+
+    n is a whole number of k = 8 / gcd(bits, 8) index chunks or not; at bits
+    1 to 3, n < m <= k, so only the latter. The field bytes are random, so
+    they set padding bits and encode indices >= m or out of order.
+    """
+    bits = draw(st.integers(1, 8))
+    m = draw(st.integers(2 ** (bits - 1) + 1, min(2**bits, 255))) if bits > 1 else 2
+    k = 8 // math.gcd(bits, 8)
+    whole = draw(st.booleans()) and m > k
+    n = k * draw(st.integers(1, (m - 1) // k)) if whole else draw(st.integers(1, min(m - 1, 3 * k + 1)))
+    g = draw(st.integers(0, 4))
+    field_bytes = (n * bits + 7) // 8
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    body = rng.integers(0, 256, size=(g, 4 * n + field_bytes), dtype=np.uint8)
+    if draw(st.booleans()):
+        # valid increasing indices under random padding bits, so both decoders succeed
+        idx = np.sort(np.argsort(rng.random((g, m)), axis=1)[:, :n], axis=1)
+        acc = [sum(int(ix) << (t * bits) for t, ix in enumerate(row)) for row in idx]
+        pad = [int(b) << (n * bits) for b in rng.integers(0, 2 ** (8 * field_bytes - n * bits), size=g)]
+        for row, a, p in zip(body, acc, pad):
+            row[4 * n :] = np.frombuffer((a | p).to_bytes(field_bytes, "little"), dtype=np.uint8)
+    return HEADER.pack(b"NMSP", 1, n, m, g, m, 1, 1, g) + body.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=raw_index_fields())
+def test_from_bytes_matches_the_bit_array_decoder(blob):
+    try:
+        want = reference_from_bytes(blob)
+    except ValueError:
+        with pytest.raises(ValueError):
+            CompressedNM.from_bytes(blob)
+        return
+    got = CompressedNM.from_bytes(blob)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert got.indices.dtype == np.uint8
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 @pytest.mark.parametrize("n,m", [(2, 4), (1, 16), (3, 7), (5, 8)])

@@ -7,11 +7,26 @@ from nmsparse.tensors import (
     BlockMatrix,
     WeightTensor4,
     block_l1_norms,
-    block_of_coord,
-    coord_of_block,
     rearrange_from_blocks,
     rearrange_to_blocks,
 )
+
+
+def block_of_coord(dims, m, o, c, kh, kw):
+    """Map a 4D weight coordinate to its (block row, column), written out by hand."""
+    c_out, c_in, k_h, k_w = dims
+    cb, j = divmod(c, m)
+    g = ((o * k_h + kh) * k_w + kw) * (c_in // m) + cb
+    return g, j
+
+
+def coord_of_block(dims, m, g, j):
+    """Inverse of :func:`block_of_coord`."""
+    c_out, c_in, k_h, k_w = dims
+    g2, cb = divmod(g, c_in // m)
+    g3, kw = divmod(g2, k_w)
+    o, kh = divmod(g3, k_h)
+    return o, cb * m + j, kh, kw
 
 
 def random_tensor(rng, dims):
