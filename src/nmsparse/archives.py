@@ -29,8 +29,8 @@ from .tensors import WeightTensor4
 # What zipfile and np.load raise on malformed bytes once the file is open: bad
 # offsets reach seek() as OSError, flipped flag or method fields look like
 # encryption (RuntimeError) or an unknown compression (NotImplementedError).
-# An ill-typed manifest value (a null stride, a number for the layer list)
-# fails its int() or iteration with a TypeError.
+# An ill-typed manifest (a number for the layer list) fails its iteration with
+# a TypeError; ill-typed layer records are rejected by _check_layers.
 _MALFORMED_ZIP = (
     ValueError,
     KeyError,
@@ -81,22 +81,25 @@ class FoldedModel:
         )
 
 
+def _layer_record(l: FoldedLayer, **files: str) -> dict:
+    """A layer's manifest entry; ``files`` (compressed archives only) go after the kind."""
+    return {
+        "name": l.name,
+        "kind": l.kind,
+        **files,
+        "dims": list(l.weight.dims),
+        "eligible": l.eligible,
+        "stride": l.stride,
+        "padding": l.padding,
+    }
+
+
 def save_folded_archive(path: str | Path, folded: FoldedModel) -> None:
     manifest = {
         "format": "nmsparse-folded",
         "version": 1,
         "pattern": None if folded.pattern is None else str(folded.pattern),
-        "layers": [
-            {
-                "name": l.name,
-                "kind": l.kind,
-                "dims": list(l.weight.dims),
-                "eligible": l.eligible,
-                "stride": l.stride,
-                "padding": l.padding,
-            }
-            for l in folded.layers
-        ],
+        "layers": [_layer_record(l) for l in folded.layers],
     }
     arrays = {"manifest": np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)}
     for l in folded.layers:
@@ -124,42 +127,46 @@ def _read_folded(data) -> FoldedModel:
     if manifest.get("format") != "nmsparse-folded":
         raise ValueError("not a folded-weight archive")
     pattern_str = manifest.get("pattern")
+    entries = manifest["layers"]
     layers = [
         FoldedLayer(
             name=entry["name"],
             kind=entry["kind"],
             weight=WeightTensor4(data[f"w_{entry['name']}"]),
             bias=data[f"b_{entry['name']}"].copy(),
-            eligible=bool(entry["eligible"]),
-            stride=int(entry["stride"]),
-            padding=int(entry["padding"]),
+            eligible=entry["eligible"],
+            stride=entry["stride"],
+            padding=entry["padding"],
         )
-        for entry in manifest["layers"]
+        for entry in entries
     ]
-    _check_geometry([(l.name, l.stride, l.padding) for l in layers])
+    _check_layers([(entry, l.weight.dims, l.bias.shape) for entry, l in zip(entries, layers)])
     pattern = None if pattern_str is None else SparsePattern.parse(pattern_str)
     return FoldedModel(layers, pattern)
 
 
-def _check_geometry(layers: list[tuple[str, int, int]]) -> None:
-    """Reject (name, stride, padding) triples that im2col cannot lower."""
-    if bad := [name for name, stride, padding in layers if stride < 1 or padding < 0]:
-        raise ValueError(f"layer(s) {', '.join(bad)} need stride >= 1 and padding >= 0")
+def _check_layers(layers: list[tuple[dict, tuple, tuple | None]]) -> None:
+    """Reject manifest records that disagree with the stored arrays or that the
+    runtime cannot serve. Each item is (record, stored weight shape, stored
+    bias shape, or None where the reader does not read the bias)."""
+    for entry, shape, bias_shape in layers:
+        name, kind, dims, stride, padding = (entry[k] for k in ("name", "kind", "dims", "stride", "padding"))
+        if kind not in ("conv", "linear"):
+            raise ValueError(f"layer {name!r}: unknown kind {kind!r}")
+        if dims != list(shape):
+            raise ValueError(f"layer {name!r}: manifest dims {dims} but the stored weight is {list(shape)}")
+        if bias_shape not in (None, shape[:1]):
+            raise ValueError(f"layer {name!r}: bias of shape {bias_shape} for {shape[0]} filters")
+        if type(entry["eligible"]) is not bool:
+            raise ValueError(f"layer {name!r}: eligible must be true or false, got {entry['eligible']!r}")
+        if type(stride) is not int or type(padding) is not int or stride < 1 or padding < 0:
+            raise ValueError(f"layer {name!r}: need stride >= 1 and padding >= 0, got {stride!r} and {padding!r}")
 
 
 def save_compressed_archive(path: str | Path, folded: FoldedModel, pattern: SparsePattern) -> None:
     """Compress eligible layers; store dense layers as f32 arrays."""
     layers = [
-        {
-            "name": l.name,
-            "kind": l.kind,
-            "file": f"{l.name}.nmsp" if l.eligible else f"{l.name}.npy",
-            "bias_file": f"{l.name}.bias.npy",
-            "dims": list(l.weight.dims),
-            "eligible": l.eligible,
-            "stride": l.stride,
-            "padding": l.padding,
-        }
+        _layer_record(l, file=f"{l.name}.nmsp" if l.eligible else f"{l.name}.npy", bias_file=f"{l.name}.bias.npy")
         for l in folded.layers
     ]
     manifest = {"format": "nmsparse-compressed", "version": 1, "pattern": str(pattern), "layers": layers}
@@ -195,7 +202,6 @@ def _read_compressed(zf: zipfile.ZipFile) -> list[tuple[dict, CompressedNM | np.
     manifest = json.loads(zf.read("manifest.json").decode())
     if manifest.get("format") != "nmsparse-compressed":
         raise ValueError("not a compressed archive")
-    _check_geometry([(e["name"], int(e["stride"]), int(e["padding"])) for e in manifest["layers"]])
     out = []
     for entry in manifest["layers"]:
         blob = zf.read(entry["file"])
@@ -203,4 +209,5 @@ def _read_compressed(zf: zipfile.ZipFile) -> list[tuple[dict, CompressedNM | np.
             out.append((entry, CompressedNM.from_bytes(blob)))
         else:
             out.append((entry, np.load(io.BytesIO(blob))))
+    _check_layers([(e, p.origin_dims if isinstance(p, CompressedNM) else p.shape, None) for e, p in out])
     return out

@@ -113,6 +113,11 @@ def _parse_layers(blob: memoryview) -> tuple[nn.Model, Velocity]:
         bias, off = _read_array(blob, off)
         vw, off = _read_array(blob, off)
         vb, off = _read_array(blob, off)
+        if bias.shape != weight.shape[:1] or vw.shape != weight.shape or vb.shape != bias.shape:
+            raise ValueError(
+                f"layer {name!r}: weight {weight.shape}, bias {bias.shape} and momentum "
+                f"{vw.shape}/{vb.shape} do not match"
+            )
         layers.append(
             nn.Layer(
                 kind=_KIND_NAMES[kind_code],
@@ -129,7 +134,8 @@ def _parse_layers(blob: memoryview) -> tuple[nn.Model, Velocity]:
     return nn.Model(layers), Velocity(vel_w, vel_b)
 
 
-def _checkpoint_parts(ckpt: Checkpoint) -> list:
+def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
+    """Stream the checkpoint's parts to disk without joining them first."""
     sections = [
         [ckpt.config.to_json().encode()],
         [struct.pack("<QQ", ckpt.epoch, ckpt.iteration)],
@@ -140,17 +146,8 @@ def _checkpoint_parts(ckpt: Checkpoint) -> list:
     for tag, section in zip(_SECTIONS, sections):
         parts.append(tag + struct.pack("<Q", sum(len(p) for p in section)))
         parts += section
-    return parts
-
-
-def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
-    return b"".join(_checkpoint_parts(ckpt))
-
-
-def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    """Stream the checkpoint's parts to disk without joining them first."""
     with atomic_writer(path) as fh:
-        fh.writelines(_checkpoint_parts(ckpt))
+        fh.writelines(parts)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

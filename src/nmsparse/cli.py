@@ -35,6 +35,12 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def _write_csv(path: str, headers: list[str], rows: list[list[str]]) -> None:
+    text = "\n".join(",".join(cells) for cells in [headers, *rows]) + "\n"
+    atomic_write_bytes(path, text.encode())
+    print(f"wrote {path}")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config = RunConfig.from_file(args.config)
     # a diverging run overflows before fit sees the non-finite loss and raises
@@ -90,9 +96,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(_table(headers, rows))
     print(f"\ntotal violating blocks: {total_violations}")
     if args.csv:
-        csv_text = "\n".join([",".join(headers)] + [",".join(r) for r in rows]) + "\n"
-        atomic_write_bytes(args.csv, csv_text.encode())
-        print(f"wrote {args.csv}")
+        _write_csv(args.csv, headers, rows)
     return 0 if total_violations == 0 else 1
 
 
@@ -131,12 +135,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not rows:
         print("archive holds no compressed layers")
         return 1
-    table = _table(headers, rows)
-    print(table)
+    print(_table(headers, rows))
     if args.csv:
-        csv_text = "\n".join([",".join(headers)] + [",".join(r) for r in rows]) + "\n"
-        atomic_write_bytes(args.csv, csv_text.encode())
-        print(f"\nwrote {args.csv}")
+        _write_csv(args.csv, headers, rows)
     return 0
 
 

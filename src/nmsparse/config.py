@@ -86,9 +86,6 @@ class RunConfig:
             seed=self.seed,
         )
 
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
-
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         schedule = doc.get("schedule") if isinstance(doc, dict) else None

@@ -72,21 +72,19 @@ class SparsePattern:
 
 @dataclass(eq=False)
 class HardMask:
-    """Binary (g, m) mask; ``sparsified`` lists the block rows pruned to n ones.
+    """Binary (g, m) mask; the sparsified blocks are its rows with fewer than m ones.
 
     In block_width mode rows may carry an intermediate number of ones while
     the kept width ramps from m down to n.
     """
 
     bits: np.ndarray
-    sparsified: np.ndarray
 
     def __post_init__(self):
         bits = np.asarray(self.bits, dtype=np.uint8)
         if bits.ndim != 2:
             raise DimensionError("mask bits must be 2D")
         self.bits = bits
-        self.sparsified = np.asarray(self.sparsified, dtype=np.int64)
 
     @property
     def g(self) -> int:
@@ -199,12 +197,12 @@ def hard_mask(
         raise DimensionError(f"block width {bm.m} does not match pattern {pattern}")
     drop = pattern.m - pattern.n
     if delta == 1.0:
-        return HardMask(_keep_bits(bm.values, drop), np.arange(bm.g, dtype=np.int64))
+        return HardMask(_keep_bits(bm.values, drop))
     chosen = select_sparsify_blocks(block_l1_norms(bm), delta, ordering)
     bits = np.ones((bm.g, bm.m), dtype=np.uint8)
     if chosen.size:
         bits[chosen] = _keep_bits(bm.values[chosen], drop)
-    return HardMask(bits, chosen)
+    return HardMask(bits)
 
 
 def hard_mask_top_width(bm: BlockMatrix, kept: int) -> HardMask:
@@ -213,8 +211,8 @@ def hard_mask_top_width(bm: BlockMatrix, kept: int) -> HardMask:
         raise DimensionError(f"kept width {kept} out of range for m={bm.m}")
     drop = bm.m - kept
     if drop == 0:
-        return HardMask(np.ones((bm.g, bm.m), dtype=np.uint8), np.empty(0, dtype=np.int64))
-    return HardMask(_keep_bits(bm.values, drop), np.arange(bm.g, dtype=np.int64))
+        return HardMask(np.ones((bm.g, bm.m), dtype=np.uint8))
+    return HardMask(_keep_bits(bm.values, drop))
 
 
 def kept_width_from_delta(delta: float, pattern: SparsePattern) -> int:
@@ -264,12 +262,6 @@ def _row_scores(mags: np.ndarray, p: float, tau: float) -> np.ndarray:
 
 def _one_row(v) -> np.ndarray:
     return np.abs(np.asarray(v, dtype=np.float64)).reshape(1, -1)
-
-
-def threshold_bounds(v: np.ndarray, p: float) -> tuple[float, float]:
-    """(smallest kept magnitude, largest pruned magnitude) at sparse rate p."""
-    high, low, _ = _row_thresholds(_one_row(v), p)
-    return float(high[0]), float(low[0])
 
 
 def importance_threshold(v: np.ndarray, p: float) -> float:

@@ -26,26 +26,22 @@ def build_model(config: RunConfig, dataset: datasets.Dataset) -> nn.Model:
 def run_training(
     config: RunConfig, resume_from: str | Path | None = None, log=None
 ) -> tuple[training.FitResult, Path]:
-    """Train (or resume) a run; write checkpoint + metrics CSV into out_dir."""
+    """Train (or resume) a run; write checkpoint + metrics CSV into out_dir.
+
+    A fresh run trains like a resume from an untrained model at epoch 0.
+    """
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
         config = ckpt.config  # the original snapshot governs the run
     dataset = datasets.build(config.dataset)
-    train_cfg = config.to_train_config()
-    if resume_from is not None:
-        result = training.fit(
-            ckpt.model,
-            dataset,
-            train_cfg,
-            start_epoch=ckpt.epoch,
-            velocity=ckpt.velocity,
-            metrics=training.parse_metrics_csv(ckpt.metrics_csv),
-            iteration=ckpt.iteration,
-            log=log,
-        )
-    else:
+    if resume_from is None:
         model = build_model(config, dataset)
-        result = training.fit(model, dataset, train_cfg, log=log)
+        ckpt = Checkpoint(config, 0, 0, model, training.Velocity.zeros_like(model), "")
+    train_cfg = config.to_train_config()
+    result = training.fit(
+        ckpt.model, dataset, train_cfg, start_epoch=ckpt.epoch, velocity=ckpt.velocity,
+        metrics=training.parse_metrics_csv(ckpt.metrics_csv), iteration=ckpt.iteration, log=log,
+    )
     out_dir = Path(config.out_dir)
     metrics_csv = training.metrics_to_csv(result.metrics)
     atomic_write_bytes(out_dir / "metrics.csv", metrics_csv.encode())

@@ -32,7 +32,7 @@ from scipy import sparse
 from .errors import DimensionError, PatternViolationError
 from .im2col import im2col
 from .masks import SparsePattern
-from .tensors import BlockMatrix, Dims4, WeightTensor4, block_layout, rearrange_from_blocks
+from .tensors import Dims4, WeightTensor4, block_layout, block_layout_inverse
 
 MAGIC = b"NMSP"
 VERSION = 1
@@ -237,7 +237,7 @@ def decompress(c: CompressedNM) -> WeightTensor4:
     dense = np.zeros((c.g, m), dtype=np.float64)
     rows = np.arange(c.g)[:, None]
     dense[rows, c.indices.astype(np.int64)] = c.values.astype(np.float64)
-    return rearrange_from_blocks(BlockMatrix(dense, c.origin_dims))
+    return WeightTensor4(block_layout_inverse(dense, c.origin_dims))
 
 
 def spmm(c: CompressedNM, x: np.ndarray) -> np.ndarray:
@@ -275,10 +275,6 @@ class ComplianceReport:
     violating_blocks: int
     sparsity: float
 
-    @property
-    def compliant(self) -> bool:
-        return self.violating_blocks == 0
-
 
 def verify(w: WeightTensor4, pattern: SparsePattern) -> ComplianceReport:
     """Count blocks carrying more than n nonzeros; report achieved sparsity."""
@@ -294,8 +290,6 @@ def verify(w: WeightTensor4, pattern: SparsePattern) -> ComplianceReport:
 @dataclass(frozen=True)
 class BenchReport:
     matrix_shape: tuple[int, int]
-    input_cols: int
-    repetitions: int
     sparse_seconds: float
     dense_seconds: float
     flop_reduction: float
@@ -321,8 +315,6 @@ def bench(c: CompressedNM, x: np.ndarray, repetitions: int = 5) -> BenchReport:
     sparse_flops = 2.0 * c.g * c.pattern.n * cols
     return BenchReport(
         matrix_shape=c.matrix_shape,
-        input_cols=cols,
-        repetitions=repetitions,
         sparse_seconds=sparse_best,
         dense_seconds=dense_best,
         flop_reduction=dense_flops / sparse_flops,

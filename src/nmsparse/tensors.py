@@ -63,14 +63,6 @@ class WeightTensor4:
             raise ValueError("weight tensor contains NaN/Inf")
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def from_flat(cls, dims: Dims4, flat) -> "WeightTensor4":
-        flat = np.asarray(flat, dtype=np.float64)
-        expected = int(np.prod(dims))
-        if flat.size != expected:
-            raise DimensionError(f"got {flat.size} values for dims {dims} ({expected} expected)")
-        return cls(flat.reshape(dims))
-
     @property
     def dims(self) -> Dims4:
         return tuple(self.values.shape)  # type: ignore[return-value]
@@ -122,11 +114,6 @@ class BlockMatrix:
 def rearrange_to_blocks(w: WeightTensor4, m: int) -> BlockMatrix:
     """Group every m consecutive input channels of ``w`` into one block row."""
     return BlockMatrix(block_layout(w.values, m), w.dims)
-
-
-def rearrange_from_blocks(bm: BlockMatrix) -> WeightTensor4:
-    """Exact inverse of :func:`rearrange_to_blocks`."""
-    return WeightTensor4(block_layout_inverse(bm.values, bm.origin_dims))
 
 
 def block_l1_norms(bm: BlockMatrix) -> np.ndarray:

@@ -18,7 +18,7 @@ from nmsparse.cli import main
 from nmsparse.errors import PatternViolationError
 from nmsparse.masks import SparsePattern
 from nmsparse.sparse_format import CompressedNM
-from nmsparse.tensors import BlockMatrix, WeightTensor4, rearrange_from_blocks, rearrange_to_blocks
+from nmsparse.tensors import WeightTensor4, block_layout_inverse, rearrange_to_blocks
 
 PATTERN = SparsePattern(2, 4)
 
@@ -28,7 +28,7 @@ def small_folded_model() -> FoldedModel:
     blocks = rearrange_to_blocks(WeightTensor4(rng.normal(size=(4, 8, 1, 1))), PATTERN.m)
     values = blocks.values.copy()
     values[:, 1::2] = 0.0  # two of every four entries survive: 2:4 compliant
-    sparse = rearrange_from_blocks(BlockMatrix(values, blocks.origin_dims)).values
+    sparse = block_layout_inverse(values, blocks.origin_dims)
     model = nn.Model(
         [
             nn.Layer("linear", "fc0", sparse, rng.normal(size=4), eligible=True),
@@ -141,7 +141,7 @@ def _rewrite_folded_manifest(path, edit):
     with np.load(path) as data:
         arrays = {name: data[name] for name in data.files}
     manifest = json.loads(bytes(arrays["manifest"]).decode())
-    edit(manifest)
+    edit(manifest, arrays)
     arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
 
@@ -150,18 +150,27 @@ def _rewrite_compressed_manifest(path, edit):
     with zipfile.ZipFile(path) as zf:
         members = {info.filename: zf.read(info.filename) for info in zf.infolist()}
     manifest = json.loads(members["manifest.json"].decode())
-    edit(manifest)
+    edit(manifest, members)
     members["manifest.json"] = json.dumps(manifest).encode()
     with zipfile.ZipFile(path, "w") as zf:
         for name, blob in members.items():
             zf.writestr(name, blob)
 
 
-# name -> (archive, edit of its manifest)
+def _edit_layer0(**fields):
+    return lambda manifest, _: manifest["layers"][0].update(fields)
+
+
+# name -> (archive, edit of its manifest and members)
 ILL_TYPED_MANIFESTS = {
-    "npz_null_stride": ("folded_npz", lambda m: m["layers"][0].update(stride=None)),
-    "npz_int_layers": ("folded_npz", lambda m: m.update(layers=5)),
-    "nmz_null_layers": ("stored_nmz", lambda m: m.update(layers=None)),
+    "npz_null_stride": ("folded_npz", _edit_layer0(stride=None)),
+    "npz_int_layers": ("folded_npz", lambda m, _: m.update(layers=5)),
+    "npz_string_eligible": ("folded_npz", _edit_layer0(eligible="no")),
+    "npz_dims_unlike_weight": ("folded_npz", _edit_layer0(dims=[4, 4, 1, 1])),
+    "npz_short_bias": ("folded_npz", lambda _, arrays: arrays.update(b_fc0=arrays["b_fc0"][:3])),
+    "nmz_null_layers": ("stored_nmz", lambda m, _: m.update(layers=None)),
+    "nmz_bogus_kind": ("stored_nmz", _edit_layer0(kind="bogus")),
+    "nmz_dims_unlike_payload": ("stored_nmz", _edit_layer0(dims=[99, 1, 1, 1])),
 }
 
 

@@ -1,19 +1,26 @@
 import hashlib
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nmsparse import datasets, nn, runner, training
-from nmsparse.checkpoint import (
-    Checkpoint,
-    checkpoint_bytes,
-    load_checkpoint,
-    save_checkpoint,
-)
+from nmsparse.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from nmsparse.cli import main
 from nmsparse.config import RunConfig
 from nmsparse.training import Velocity
 
 GOLDEN_MAXQ_SHA256 = "3b2b3ef7a8b2352dd97fed1f8256c7468733e46b9ab8299e8d3ab010248b5795"
+
+
+def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
+    """The file that save_checkpoint writes for ``ckpt``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.maxq"
+        save_checkpoint(path, ckpt)
+        return path.read_bytes()
 
 
 def run_config(tmp_path, seed=11, out_name="run"):
@@ -195,3 +202,22 @@ def test_golden_checkpoint_bytes_and_owned_writable_arrays(tmp_path):
     arrays += loaded.velocity.w + loaded.velocity.b
     for a in arrays:
         assert a.flags.writeable and a.flags.owndata
+
+
+@pytest.mark.parametrize("array, shape", [("momentum w", (3, 3, 1, 1)), ("momentum b", (5,)), ("bias", (2,))])
+def test_layer_arrays_of_the_wrong_shape_are_rejected_at_load(tmp_path, capsys, array, shape):
+    ckpt = _golden_checkpoint()
+    if array == "bias":
+        ckpt.model.layers[0].bias = np.zeros(shape)
+    else:
+        getattr(ckpt.velocity, array[-1])[0] = np.zeros(shape)
+    path = tmp_path / "bad.maxq"
+    save_checkpoint(path, ckpt)
+    with pytest.raises(ValueError, match="do not match") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(ckpt.config.to_json())
+    assert main(["train", "--config", str(cfg), "--resume", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: [^\n]*\n", err) and str(path) in err

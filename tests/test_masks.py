@@ -24,7 +24,6 @@ from nmsparse.masks import (
     kernel_axis_scores,
     select_sparsify_blocks,
     soft_mask,
-    threshold_bounds,
 )
 from nmsparse.schedule import Schedule, delta as schedule_delta
 from nmsparse.tensors import BlockMatrix, WeightTensor4, block_layout, rearrange_to_blocks
@@ -56,6 +55,12 @@ def select_oracle(norms, frac, ordering):
     else:
         order = sorted(range(len(norms)), key=lambda i: (norms[i], i))
     return sorted(order[:count])
+
+
+def threshold_bounds(v, p):
+    """(smallest kept, largest pruned magnitude) of one vector, through the row routine."""
+    high, low, _ = _row_thresholds(np.abs(np.asarray(v, dtype=np.float64)).reshape(1, -1), p)
+    return float(high[0]), float(low[0])
 
 
 def threshold_oracle(values, p):
@@ -181,7 +186,6 @@ def test_hard_mask_delta_zero_is_all_ones():
     bm = bm_of(np.random.default_rng(5).normal(size=(10, 8)))
     mask = hard_mask(bm, SparsePattern(2, 8), 0.0)
     assert mask.bits.all()
-    assert mask.sparsified.size == 0
 
 
 def test_unknown_ordering_raises_at_every_delta():
@@ -197,8 +201,7 @@ def test_unknown_ordering_raises_at_every_delta():
 def test_hard_mask_two_block_composition():
     bm = bm_of([[1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.4]])
     mask = hard_mask(bm, SparsePattern(2, 4), 0.5)
-    np.testing.assert_array_equal(mask.sparsified, [0])  # larger l1 norm first
-    np.testing.assert_array_equal(mask.bits[0], [0, 0, 1, 1])
+    np.testing.assert_array_equal(mask.bits[0], [0, 0, 1, 1])  # larger l1 norm first
     np.testing.assert_array_equal(mask.bits[1], [1, 1, 1, 1])
 
 
@@ -209,7 +212,7 @@ def test_hard_mask_zero_counts_per_row():
     mask = hard_mask(bm, pattern, 0.37)
     zeros = (mask.bits == 0).sum(axis=1)
     in_t = np.zeros(50, dtype=bool)
-    in_t[mask.sparsified] = True
+    in_t[select_sparsify_blocks(np.abs(bm.values).sum(axis=1), 0.37)] = True
     assert (zeros[in_t] == 6).all()
     assert (zeros[~in_t] == 0).all()
 
@@ -220,7 +223,6 @@ def test_hard_mask_determinism():
     a = hard_mask(bm_of(vals.copy()), SparsePattern(2, 4), 0.6)
     b = hard_mask(bm_of(vals.copy()), SparsePattern(2, 4), 0.6)
     np.testing.assert_array_equal(a.bits, b.bits)
-    np.testing.assert_array_equal(a.sparsified, b.sparsified)
 
 
 # ------------------------------------------------------------- width ramp
@@ -643,7 +645,7 @@ def test_hard_mask_matches_stable_argsort_on_ties(values, delta, ordering, data)
     bits, chosen = argsort_hard_mask_reference(values, pattern, delta, ordering)
     assert got.bits.dtype == np.uint8 and got.bits.flags.c_contiguous
     np.testing.assert_array_equal(got.bits, bits)
-    np.testing.assert_array_equal(got.sparsified, chosen)
+    np.testing.assert_array_equal(np.flatnonzero(got.bits.sum(axis=1) < m), chosen)
 
 
 @settings(max_examples=300, deadline=None)

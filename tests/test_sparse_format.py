@@ -45,25 +45,25 @@ def dense_conv_oracle(w, x, stride, padding):
 # ------------------------------------------------------------ compression
 
 def test_compress_hand_example():
-    w = WeightTensor4.from_flat((1, 4, 1, 1), [0.0, 1.5, 0.0, -2.0])
+    w = WeightTensor4(np.reshape([0.0, 1.5, 0.0, -2.0], (1, 4, 1, 1)))
     c = compress(w, SparsePattern(2, 4))
     np.testing.assert_array_equal(c.values, [[1.5, -2.0]])
     np.testing.assert_array_equal(c.indices, [[1, 3]])
 
 
 def test_compress_pads_underfull_blocks():
-    w = WeightTensor4.from_flat((1, 4, 1, 1), [0.0, 0.0, 0.0, 0.0])
+    w = WeightTensor4(np.reshape([0.0, 0.0, 0.0, 0.0], (1, 4, 1, 1)))
     c = compress(w, SparsePattern(1, 4))
     np.testing.assert_array_equal(c.values, [[0.0]])
     np.testing.assert_array_equal(c.indices, [[0]])
-    w2 = WeightTensor4.from_flat((1, 4, 1, 1), [0.0, 0.7, 0.0, 0.0])
+    w2 = WeightTensor4(np.reshape([0.0, 0.7, 0.0, 0.0], (1, 4, 1, 1)))
     c2 = compress(w2, SparsePattern(2, 4))
     np.testing.assert_array_equal(c2.indices, [[0, 1]])
     np.testing.assert_array_equal(c2.values, np.array([[0.0, 0.7]], dtype=np.float32))
 
 
 def test_compress_rejects_violations_naming_first_block():
-    w = WeightTensor4.from_flat((2, 4, 1, 1), [1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
+    w = WeightTensor4(np.reshape([1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0], (2, 4, 1, 1)))
     with pytest.raises(PatternViolationError) as exc:
         compress(w, SparsePattern(2, 4))
     assert exc.value.block == 1
@@ -190,9 +190,8 @@ def test_from_bytes_rejects_garbage():
 
 def test_golden_bytes_3_of_7():
     # 3 indices at 3 bits each: the last one straddles the first index byte
-    w = WeightTensor4.from_flat(
-        (2, 7, 1, 1),
-        [1.0, 0.0, 0.0, -2.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.25, 0.0, 0.0, 3.0, -1.5],
+    w = WeightTensor4(
+        np.reshape([1.0, 0.0, 0.0, -2.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.25, 0.0, 0.0, 3.0, -1.5], (2, 7, 1, 1))
     )
     expected = bytes.fromhex(
         "4e4d5350" "0100" "03" "07"  # magic, version, n, m
@@ -434,7 +433,7 @@ def test_verify_fully_masked_1_16():
     pattern = SparsePattern(1, 16)
     w = masked_tensor(rng, (4, 32, 3, 3), pattern)
     report = verify(w, pattern)
-    assert report.violating_blocks == 0 and report.compliant
+    assert report.violating_blocks == 0
     assert report.sparsity == pytest.approx(15 / 16, abs=1e-9)
 
 
@@ -444,7 +443,6 @@ def test_verify_dense_tensor_flags_all_blocks():
     report = verify(w, SparsePattern(2, 4))
     assert report.blocks == 4
     assert report.violating_blocks == 4
-    assert not report.compliant
 
 
 def test_verify_counts_match_popcount_oracle():

@@ -7,9 +7,14 @@ from nmsparse.tensors import (
     BlockMatrix,
     WeightTensor4,
     block_l1_norms,
-    rearrange_from_blocks,
+    block_layout_inverse,
     rearrange_to_blocks,
 )
+
+
+def from_blocks(bm):
+    """The 4D tensor a block matrix came from, through the inverse layout."""
+    return WeightTensor4(block_layout_inverse(bm.values, bm.origin_dims))
 
 
 def block_of_coord(dims, m, o, c, kh, kw):
@@ -34,14 +39,14 @@ def random_tensor(rng, dims):
 
 
 def test_single_block_identity():
-    w = WeightTensor4.from_flat((1, 4, 1, 1), [1.0, 2.0, 3.0, 4.0])
+    w = WeightTensor4(np.reshape([1.0, 2.0, 3.0, 4.0], (1, 4, 1, 1)))
     bm = rearrange_to_blocks(w, 4)
     assert bm.g == 1 and bm.m == 4
     np.testing.assert_array_equal(bm.values, [[1.0, 2.0, 3.0, 4.0]])
 
 
 def test_two_filters_layout():
-    w = WeightTensor4.from_flat((2, 4, 1, 1), np.arange(8.0))
+    w = WeightTensor4(np.reshape(np.arange(8.0), (2, 4, 1, 1)))
     bm = rearrange_to_blocks(w, 4)
     assert bm.g == 2
     np.testing.assert_array_equal(bm.values[0], w.values[0, :, 0, 0])
@@ -80,8 +85,8 @@ def test_indivisible_block_width_rejected():
 
 
 def test_round_trip_single_block():
-    w = WeightTensor4.from_flat((1, 4, 1, 1), [0.5, -1.0, 2.0, 0.0])
-    back = rearrange_from_blocks(rearrange_to_blocks(w, 4))
+    w = WeightTensor4(np.reshape([0.5, -1.0, 2.0, 0.0], (1, 4, 1, 1)))
+    back = from_blocks(rearrange_to_blocks(w, 4))
     np.testing.assert_array_equal(back.values, w.values)
 
 
@@ -97,7 +102,7 @@ def test_round_trip_single_block():
 def test_round_trip_property(c_out, blocks, m, k_h, k_w, seed):
     dims = (c_out, blocks * m, k_h, k_w)
     w = random_tensor(np.random.default_rng(seed), dims)
-    back = rearrange_from_blocks(rearrange_to_blocks(w, m))
+    back = from_blocks(rearrange_to_blocks(w, m))
     assert back.dims == w.dims
     np.testing.assert_array_equal(back.values, w.values)
 
@@ -113,7 +118,7 @@ def test_round_trip_randomized_suite():
             int(rng.integers(1, 4)),
         )
         w = random_tensor(rng, dims)
-        back = rearrange_from_blocks(rearrange_to_blocks(w, m))
+        back = from_blocks(rearrange_to_blocks(w, m))
         np.testing.assert_array_equal(back.values, w.values)
 
 
@@ -155,8 +160,3 @@ def test_block_l1_norms_permutation_invariant():
 def test_weight_tensor_rejects_nonfinite():
     with pytest.raises(ValueError):
         WeightTensor4(np.full((1, 2, 1, 1), np.nan))
-
-
-def test_from_flat_checks_length():
-    with pytest.raises(DimensionError):
-        WeightTensor4.from_flat((1, 4, 1, 1), [1.0, 2.0])

@@ -97,7 +97,7 @@ def unit_soft_masks(model, pattern):
         bm = rearrange_to_blocks(WeightTensor4(layer.weight), pattern.m)
         bits = np.ones((bm.g, bm.m), dtype=np.uint8)
         masks[layer.name] = (
-            HardMask(bits, np.empty(0, dtype=np.int64)),
+            HardMask(bits),
             SoftMask(np.ones((bm.g, bm.m))),
         )
     return masks
