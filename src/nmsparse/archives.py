@@ -13,35 +13,16 @@ from __future__ import annotations
 import io
 import json
 import zipfile
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .checkpoint import atomic_writer
+from .checkpoint import artifact_reader, atomic_writer
 from .masks import SparsePattern
 from .sparse_format import CompressedNM, compress
 from .tensors import WeightTensor4
-
-
-# What zipfile and np.load raise on malformed bytes once the file is open: bad
-# offsets reach seek() as OSError, flipped flag or method fields look like
-# encryption (RuntimeError) or an unknown compression (NotImplementedError).
-# An ill-typed manifest (a number for the layer list) fails its iteration with
-# a TypeError; ill-typed layer records are rejected by _check_layers.
-_MALFORMED_ZIP = (
-    ValueError,
-    KeyError,
-    TypeError,
-    EOFError,
-    OSError,
-    RuntimeError,
-    NotImplementedError,
-    zipfile.BadZipFile,
-    zlib.error,
-)
 
 
 @dataclass(eq=False)
@@ -110,57 +91,32 @@ def save_folded_archive(path: str | Path, folded: FoldedModel) -> None:
 
 
 def load_folded_archive(path: str | Path) -> FoldedModel:
-    """Read a folded archive; malformed bytes raise a ValueError naming the file.
-
-    A file that cannot be opened (missing, a directory) raises its OSError.
-    """
-    with open(path, "rb") as fh:
-        try:
-            with np.load(fh) as data:
-                return _read_folded(data)
-        except _MALFORMED_ZIP as exc:
-            raise ValueError(f"{path}: malformed folded archive: {exc}") from exc
+    """Read a folded archive under the ``artifact_reader`` contract."""
+    with artifact_reader(path, "folded archive") as fh, np.load(fh) as data:
+        return _read_folded(data)
 
 
 def _read_folded(data) -> FoldedModel:
     manifest = json.loads(bytes(data["manifest"]).decode())
     if manifest.get("format") != "nmsparse-folded":
         raise ValueError("not a folded-weight archive")
-    pattern_str = manifest.get("pattern")
-    entries = manifest["layers"]
-    layers = [
-        FoldedLayer(
-            name=entry["name"],
-            kind=entry["kind"],
-            weight=WeightTensor4(data[f"w_{entry['name']}"]),
-            bias=data[f"b_{entry['name']}"].copy(),
-            eligible=entry["eligible"],
-            stride=entry["stride"],
-            padding=entry["padding"],
-        )
-        for entry in entries
-    ]
-    _check_layers([(entry, l.weight.dims, l.bias.shape) for entry, l in zip(entries, layers)])
-    pattern = None if pattern_str is None else SparsePattern.parse(pattern_str)
-    return FoldedModel(layers, pattern)
+    layers = []
+    for entry in manifest["layers"]:
+        weight, bias = data[f"w_{entry['name']}"], data[f"b_{entry['name']}"]
+        _check_record(entry, weight.shape)
+        nn.check_layer(entry["name"], entry["kind"], weight.shape, bias.shape, entry["stride"], entry["padding"])
+        layers.append(FoldedLayer(entry["name"], entry["kind"], WeightTensor4(weight), bias.copy(),
+                                  entry["eligible"], entry["stride"], entry["padding"]))
+    pattern = manifest.get("pattern")
+    return FoldedModel(layers, None if pattern is None else SparsePattern.parse(pattern))
 
 
-def _check_layers(layers: list[tuple[dict, tuple, tuple | None]]) -> None:
-    """Reject manifest records that disagree with the stored arrays or that the
-    runtime cannot serve. Each item is (record, stored weight shape, stored
-    bias shape, or None where the reader does not read the bias)."""
-    for entry, shape, bias_shape in layers:
-        name, kind, dims, stride, padding = (entry[k] for k in ("name", "kind", "dims", "stride", "padding"))
-        if kind not in ("conv", "linear"):
-            raise ValueError(f"layer {name!r}: unknown kind {kind!r}")
-        if dims != list(shape):
-            raise ValueError(f"layer {name!r}: manifest dims {dims} but the stored weight is {list(shape)}")
-        if bias_shape not in (None, shape[:1]):
-            raise ValueError(f"layer {name!r}: bias of shape {bias_shape} for {shape[0]} filters")
-        if type(entry["eligible"]) is not bool:
-            raise ValueError(f"layer {name!r}: eligible must be true or false, got {entry['eligible']!r}")
-        if type(stride) is not int or type(padding) is not int or stride < 1 or padding < 0:
-            raise ValueError(f"layer {name!r}: need stride >= 1 and padding >= 0, got {stride!r} and {padding!r}")
+def _check_record(entry: dict, shape: tuple) -> None:
+    """What only a manifest can get wrong; the layer itself goes through ``nn.check_layer``."""
+    if entry["dims"] != list(shape):
+        raise ValueError(f"layer {entry['name']!r}: manifest dims {entry['dims']} but the stored weight is {list(shape)}")
+    if type(entry["eligible"]) is not bool:
+        raise ValueError(f"layer {entry['name']!r}: eligible must be true or false, got {entry['eligible']!r}")
 
 
 def save_compressed_archive(path: str | Path, folded: FoldedModel, pattern: SparsePattern) -> None:
@@ -185,17 +141,9 @@ def _npy_bytes(a: np.ndarray) -> bytes:
 
 
 def load_compressed_archive(path: str | Path) -> list[tuple[dict, CompressedNM | np.ndarray]]:
-    """(manifest entry, CompressedNM or dense f32 array) per layer.
-
-    Malformed bytes raise a ValueError naming the file. A file that cannot
-    be opened (missing, a directory) raises its OSError.
-    """
-    with open(path, "rb") as fh:
-        try:
-            with zipfile.ZipFile(fh) as zf:
-                return _read_compressed(zf)
-        except _MALFORMED_ZIP as exc:
-            raise ValueError(f"{path}: malformed compressed archive: {exc}") from exc
+    """(manifest entry, CompressedNM or dense f32 array) per layer, under the ``artifact_reader`` contract."""
+    with artifact_reader(path, "compressed archive") as fh, zipfile.ZipFile(fh) as zf:
+        return _read_compressed(zf)
 
 
 def _read_compressed(zf: zipfile.ZipFile) -> list[tuple[dict, CompressedNM | np.ndarray]]:
@@ -205,9 +153,10 @@ def _read_compressed(zf: zipfile.ZipFile) -> list[tuple[dict, CompressedNM | np.
     out = []
     for entry in manifest["layers"]:
         blob = zf.read(entry["file"])
-        if entry["file"].endswith(".nmsp"):
-            out.append((entry, CompressedNM.from_bytes(blob)))
-        else:
-            out.append((entry, np.load(io.BytesIO(blob))))
-    _check_layers([(e, p.origin_dims if isinstance(p, CompressedNM) else p.shape, None) for e, p in out])
+        zf.getinfo(entry["bias_file"])  # present; callers that serve the layer read it themselves
+        payload = CompressedNM.from_bytes(blob) if entry["file"].endswith(".nmsp") else np.load(io.BytesIO(blob))
+        shape = payload.origin_dims if isinstance(payload, CompressedNM) else payload.shape
+        _check_record(entry, shape)
+        nn.check_layer(entry["name"], entry["kind"], shape, None, entry["stride"], entry["padding"])
+        out.append((entry, payload))
     return out

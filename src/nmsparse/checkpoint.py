@@ -12,9 +12,12 @@ and masks are recomputed from the stored weights.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 import tempfile
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +32,12 @@ VERSION = 1
 _KIND_CODES = {"conv": 0, "linear": 1}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 _SECTIONS = (b"CFG\x00", b"CTR\x00", b"LYR\x00", b"MET\x00")  # in file order
+# What the parsers, zipfile and np.load raise on malformed bytes once the file is
+# open: bad zip offsets reach seek() as OSError, flipped flag or method fields look
+# like encryption (RuntimeError) or an unknown compression (NotImplementedError),
+# and an ill-typed manifest fails its lookups with a TypeError or AttributeError.
+_MALFORMED = (ValueError, KeyError, TypeError, AttributeError, EOFError, OSError, RuntimeError,
+              NotImplementedError, struct.error, zipfile.BadZipFile, zlib.error)
 
 
 @dataclass(eq=False)
@@ -60,6 +69,20 @@ def atomic_writer(path: str | Path):
         raise
 
 
+@contextlib.contextmanager
+def artifact_reader(path: str | Path, what: str):
+    """Yield ``path`` open for binary reading: the one error contract of every artifact reader.
+
+    Malformed bytes raise one ValueError naming the file; a file that cannot be
+    opened (missing, a directory) raises its own OSError.
+    """
+    with open(path, "rb") as fh:
+        try:
+            yield fh
+        except _MALFORMED as exc:
+            raise ValueError(f"{path}: malformed {what}: {exc}") from exc
+
+
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     with atomic_writer(path) as fh:
         fh.write(data)
@@ -73,13 +96,13 @@ def _array_parts(a: np.ndarray) -> list:
 
 def _read_array(blob: memoryview, off: int) -> tuple[np.ndarray, int]:
     (ndim,) = struct.unpack_from("<B", blob, off)
-    off += 1
-    shape = struct.unpack_from(f"<{ndim}Q", blob, off)
-    off += 8 * ndim
-    count = int(np.prod(shape)) if ndim else 1
+    shape = struct.unpack_from(f"<{ndim}Q", blob, off + 1)
+    start = off + 1 + 8 * ndim
+    end = start + 8 * math.prod(shape)
+    if end > len(blob):
+        raise ValueError(f"array at offset {off} of the layer section runs past its end")
     # The copy makes the array owned and writable: training updates it in place.
-    arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape).copy()
-    return arr, off + 8 * count
+    return np.frombuffer(blob[start:end], dtype="<f8").reshape(shape).copy(), end
 
 
 def _layer_section(model: nn.Model, velocity: Velocity) -> list:
@@ -102,33 +125,19 @@ def _parse_layers(blob: memoryview) -> tuple[nn.Model, Velocity]:
     layers, vel_w, vel_b = [], [], []
     for _ in range(count):
         (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = bytes(blob[off : off + name_len]).decode()
-        off += name_len
+        name = bytes(blob[off + 2 : off + 2 + name_len]).decode()
+        off += 2 + name_len
         kind_code, eligible, stride, padding = struct.unpack_from("<BBHH", blob, off)
         off += 6
-        if stride < 1:
-            raise ValueError(f"layer {name!r} has stride 0")
         weight, off = _read_array(blob, off)
         bias, off = _read_array(blob, off)
         vw, off = _read_array(blob, off)
         vb, off = _read_array(blob, off)
-        if bias.shape != weight.shape[:1] or vw.shape != weight.shape or vb.shape != bias.shape:
-            raise ValueError(
-                f"layer {name!r}: weight {weight.shape}, bias {bias.shape} and momentum "
-                f"{vw.shape}/{vb.shape} do not match"
-            )
-        layers.append(
-            nn.Layer(
-                kind=_KIND_NAMES[kind_code],
-                name=name,
-                weight=weight,
-                bias=bias,
-                stride=stride,
-                padding=padding,
-                eligible=bool(eligible),
-            )
-        )
+        kind = _KIND_NAMES.get(kind_code, kind_code)
+        nn.check_layer(name, kind, weight.shape, bias.shape, stride, padding)
+        if vw.shape != weight.shape or vb.shape != bias.shape:
+            raise ValueError(f"layer {name!r}: momentum {vw.shape}/{vb.shape} and weight/bias do not match")
+        layers.append(nn.Layer(kind, name, weight, bias, stride, padding, bool(eligible)))
         vel_w.append(vw)
         vel_b.append(vb)
     return nn.Model(layers), Velocity(vel_w, vel_b)
@@ -151,12 +160,9 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint; malformed bytes raise a ValueError naming the file."""
-    blob = Path(path).read_bytes()
-    try:
-        return _parse_checkpoint(blob)
-    except (ValueError, KeyError, struct.error) as exc:
-        raise ValueError(f"{path}: malformed checkpoint: {exc}") from exc
+    """Read a checkpoint under the ``artifact_reader`` contract."""
+    with artifact_reader(path, "checkpoint") as fh:
+        return _parse_checkpoint(fh.read())
 
 
 def _parse_checkpoint(blob: bytes) -> Checkpoint:

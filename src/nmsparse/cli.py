@@ -111,6 +111,8 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"--sizes needs one or more column counts >= 1, got {args.sizes!r}")
     rng = np.random.default_rng(args.seed)
     headers = ["layer", "shape", "cols", "sparse_ms", "dense_ms", "speedup", "flop_reduction"]
     rows = []

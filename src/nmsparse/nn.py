@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .im2col import col2im, im2col
+from .im2col import col2im, conv_output_size, im2col
 from .masks import SparsePattern
 
 
@@ -55,6 +55,21 @@ class Model:
             )
 
 
+def check_layer(name: str, kind, dims: tuple, bias_dims: tuple | None, stride, padding) -> None:
+    """The one rule for a layer that ``forward`` can run, applied by every artifact reader.
+
+    ``bias_dims`` is None where the reader does not load the bias.
+    """
+    if kind not in ("conv", "linear"):
+        raise ValueError(f"layer {name!r}: unknown kind {kind!r}")
+    if len(dims) != 4:
+        raise ValueError(f"layer {name!r}: expected a 4D weight, got {len(dims)}D")
+    if bias_dims not in (None, tuple(dims[:1])):
+        raise ValueError(f"layer {name!r}: weight {tuple(dims)} and bias {bias_dims} do not match")
+    if type(stride) is not int or type(padding) is not int or stride < 1 or padding < 0:
+        raise ValueError(f"layer {name!r}: need stride >= 1 and padding >= 0, got {stride!r} and {padding!r}")
+
+
 def _init_weight(rng: np.random.Generator, dims: tuple[int, int, int, int]) -> np.ndarray:
     fan_in = dims[1] * dims[2] * dims[3]
     bound = 1.0 / np.sqrt(fan_in)
@@ -87,10 +102,9 @@ def cnn(
         Layer("conv", "conv0", _init_weight(rng, (ch0, c, 3, 3)), np.zeros(ch0), stride=1, padding=1),
         Layer("conv", "conv1", _init_weight(rng, (ch1, ch0, 3, 3)), np.zeros(ch1), stride=2, padding=1),
     ]
-    oh, ow = (h + 2 - 3) // 1 + 1, (w + 2 - 3) // 1 + 1
-    oh, ow = (oh + 2 - 3) // 2 + 1, (ow + 2 - 3) // 2 + 1
-    head_in = ch1 * oh * ow
-    layers.append(Layer("linear", "fc2", _init_weight(rng, (num_classes, head_in, 1, 1)), np.zeros(num_classes)))
+    for l in layers:
+        h, w = conv_output_size(h, w, *l.weight.shape[2:], l.stride, l.padding)
+    layers.append(Layer("linear", "fc2", _init_weight(rng, (num_classes, ch1 * h * w, 1, 1)), np.zeros(num_classes)))
     return Model(layers)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import re
 import zipfile
@@ -14,11 +15,13 @@ from nmsparse.archives import (
     save_compressed_archive,
     save_folded_archive,
 )
+from nmsparse.checkpoint import load_checkpoint, save_checkpoint
 from nmsparse.cli import main
 from nmsparse.errors import PatternViolationError
 from nmsparse.masks import SparsePattern
 from nmsparse.sparse_format import CompressedNM
 from nmsparse.tensors import WeightTensor4, block_layout_inverse, rearrange_to_blocks
+from test_checkpoint import _golden_checkpoint
 
 PATTERN = SparsePattern(2, 4)
 
@@ -54,7 +57,9 @@ def archives(tmp_path):
     deflated_copy(stored, deflated)
     npz = tmp_path / "folded.npz"
     save_folded_archive(npz, folded)
-    return {"stored_nmz": stored, "deflated_nmz": deflated, "folded_npz": npz}
+    maxq = tmp_path / "golden.maxq"
+    save_checkpoint(maxq, _golden_checkpoint())
+    return {"stored_nmz": stored, "deflated_nmz": deflated, "folded_npz": npz, "golden_maxq": maxq}
 
 
 def test_deflated_nmz_loads_like_the_stored_archive(archives):
@@ -120,10 +125,15 @@ def test_failed_compressed_write_leaves_the_old_archive_and_no_temp_file(tmp_pat
     assert target.read_bytes() == before
 
 
-@pytest.mark.parametrize("which", ["stored_nmz", "deflated_nmz", "folded_npz"])
+# A .maxq array header holds u64 dims; a numpy overflow warning while sizing one fails the case.
+@pytest.mark.parametrize(
+    "which",
+    ["stored_nmz", "deflated_nmz", "folded_npz",
+     pytest.param("golden_maxq", marks=pytest.mark.filterwarnings("error::RuntimeWarning"))],
+)
 def test_every_byte_flip_loads_or_raises_value_error(archives, which, tmp_path):
     path = archives[which]
-    load = load_folded_archive if which == "folded_npz" else load_compressed_archive
+    load = {"folded_npz": load_folded_archive, "golden_maxq": load_checkpoint}.get(which, load_compressed_archive)
     blob = path.read_bytes()
     target = tmp_path / f"flipped{path.suffix}"
     for off in range(len(blob)):
@@ -141,7 +151,7 @@ def _rewrite_folded_manifest(path, edit):
     with np.load(path) as data:
         arrays = {name: data[name] for name in data.files}
     manifest = json.loads(bytes(arrays["manifest"]).decode())
-    edit(manifest, arrays)
+    manifest = edit(manifest, arrays) or manifest  # an edit may return a whole new manifest
     arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
 
@@ -150,7 +160,7 @@ def _rewrite_compressed_manifest(path, edit):
     with zipfile.ZipFile(path) as zf:
         members = {info.filename: zf.read(info.filename) for info in zf.infolist()}
     manifest = json.loads(members["manifest.json"].decode())
-    edit(manifest, members)
+    manifest = edit(manifest, members) or manifest  # an edit may return a whole new manifest
     members["manifest.json"] = json.dumps(manifest).encode()
     with zipfile.ZipFile(path, "w") as zf:
         for name, blob in members.items():
@@ -161,6 +171,14 @@ def _edit_layer0(**fields):
     return lambda manifest, _: manifest["layers"][0].update(fields)
 
 
+def _flatten_dense_layer1(manifest, members):
+    """Store the dense layer fc1 as a 2D array, with manifest dims to match."""
+    buf = io.BytesIO()
+    np.save(buf, np.load(io.BytesIO(members["fc1.npy"])).reshape(2, 4))
+    members["fc1.npy"] = buf.getvalue()
+    manifest["layers"][1]["dims"] = [2, 4]
+
+
 # name -> (archive, edit of its manifest and members)
 ILL_TYPED_MANIFESTS = {
     "npz_null_stride": ("folded_npz", _edit_layer0(stride=None)),
@@ -168,9 +186,13 @@ ILL_TYPED_MANIFESTS = {
     "npz_string_eligible": ("folded_npz", _edit_layer0(eligible="no")),
     "npz_dims_unlike_weight": ("folded_npz", _edit_layer0(dims=[4, 4, 1, 1])),
     "npz_short_bias": ("folded_npz", lambda _, arrays: arrays.update(b_fc0=arrays["b_fc0"][:3])),
+    "npz_listed_manifest": ("folded_npz", lambda m, _: [m]),
     "nmz_null_layers": ("stored_nmz", lambda m, _: m.update(layers=None)),
+    "nmz_listed_manifest": ("stored_nmz", lambda m, _: [m]),
     "nmz_bogus_kind": ("stored_nmz", _edit_layer0(kind="bogus")),
     "nmz_dims_unlike_payload": ("stored_nmz", _edit_layer0(dims=[99, 1, 1, 1])),
+    "nmz_missing_bias": ("stored_nmz", _edit_layer0(bias_file="missing.npy")),
+    "nmz_flat_dense": ("stored_nmz", _flatten_dense_layer1),
 }
 
 

@@ -221,3 +221,22 @@ def test_layer_arrays_of_the_wrong_shape_are_rejected_at_load(tmp_path, capsys, 
     assert main(["train", "--config", str(cfg), "--resume", str(path)]) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: [^\n]*\n", err) and str(path) in err
+
+
+@pytest.mark.parametrize("layer, shape", [(2, (2, 16)), (1, (16, 16, 1))], ids=["2d_head", "3d_interior"])
+def test_layer_weight_that_is_not_4d_is_rejected_at_load(tmp_path, capsys, layer, shape):
+    config = run_config(tmp_path)
+    model = runner.build_model(config, datasets.build(config.dataset))
+    velocity = Velocity.zeros_like(model)
+    model.layers[layer].weight = model.layers[layer].weight.reshape(shape)
+    velocity.w[layer] = velocity.w[layer].reshape(shape)  # only the rank is wrong
+    path = tmp_path / "flat.maxq"
+    save_checkpoint(path, Checkpoint(config, 0, 0, model, velocity, ""))
+    with pytest.raises(ValueError, match="4D") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config.to_json())
+    assert main(["train", "--config", str(cfg), "--resume", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: [^\n]*\n", err) and str(path) in err

@@ -11,6 +11,7 @@ from nmsparse.archives import (
     FoldedModel,
     load_compressed_archive,
     load_folded_archive,
+    save_compressed_archive,
     save_folded_archive,
 )
 from nmsparse.cli import main
@@ -240,3 +241,14 @@ def test_cli_malformed_config_is_one_error_line(case, run_dir, tmp_path, capsys)
     assert re.fullmatch(r"error: [^\n]*\n", err)
     assert named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes", ["0", "4,0", ""])
+def test_bench_rejects_column_counts_below_one(sizes, tmp_path, capsys):
+    weight = np.array([[1.0, 0.0, -2.0, 0.0], [0.0, 3.0, 0.0, 4.0]]).reshape(2, 4, 1, 1)  # 2:4 compliant
+    model = nn.Model([nn.Layer("linear", "fc0", weight, np.zeros(2), eligible=True)])
+    path = tmp_path / "model.nmz"
+    save_compressed_archive(path, FoldedModel.from_model(model, {"fc0": WeightTensor4(weight)}, None), SparsePattern(2, 4))
+    assert main(["bench", "--archive", str(path), "--sizes", sizes]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: [^\n]*--sizes[^\n]*\n", err)
