@@ -5,6 +5,8 @@ manifest of the model structure. A compressed archive is a zip holding one
 serialized N:M tensor per eligible layer, dense layers as f32 .npy arrays,
 and a manifest. Its members are stored uncompressed: the payload is mostly
 f32 values, which DEFLATE shrinks by only about 11% at many times the cost.
+Each is written as a bare ``ZipInfo``, dated 1980-01-01 as ``np.savez``
+dates its members, so the same model always gives the same bytes.
 ``zipfile`` reads each member's own compression, so archives whose members
 were DEFLATE-d still load.
 """
@@ -40,26 +42,6 @@ class FoldedLayer:
 class FoldedModel:
     layers: list[FoldedLayer]
     pattern: SparsePattern | None
-
-    @classmethod
-    def from_model(
-        cls, model: nn.Model, folded: dict[str, WeightTensor4], pattern: SparsePattern | None
-    ) -> "FoldedModel":
-        return cls(
-            [
-                FoldedLayer(
-                    name=l.name,
-                    kind=l.kind,
-                    weight=folded[l.name],
-                    bias=l.bias.copy(),
-                    eligible=l.eligible,
-                    stride=l.stride,
-                    padding=l.padding,
-                )
-                for l in model.layers
-            ],
-            pattern,
-        )
 
 
 def _layer_record(l: FoldedLayer, **files: str) -> dict:
@@ -126,12 +108,12 @@ def save_compressed_archive(path: str | Path, folded: FoldedModel, pattern: Spar
         for l in folded.layers
     ]
     manifest = {"format": "nmsparse-compressed", "version": 1, "pattern": str(pattern), "layers": layers}
-    with atomic_writer(path) as fh, zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_STORED) as zf:
-        zf.writestr("manifest.json", json.dumps(manifest, indent=2))
+    with atomic_writer(path) as fh, zipfile.ZipFile(fh, "w") as zf:
+        zf.writestr(zipfile.ZipInfo("manifest.json"), json.dumps(manifest, indent=2))
         for l, entry in zip(folded.layers, layers):
             blob = compress(l.weight, pattern).to_bytes() if l.eligible else _npy_bytes(l.weight.values)
-            zf.writestr(entry["file"], blob)
-            zf.writestr(entry["bias_file"], _npy_bytes(l.bias))
+            zf.writestr(zipfile.ZipInfo(entry["file"]), blob)
+            zf.writestr(zipfile.ZipInfo(entry["bias_file"]), _npy_bytes(l.bias))
 
 
 def _npy_bytes(a: np.ndarray) -> bytes:

@@ -35,9 +35,12 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def _csv(headers: list[str], rows: list[list[str]]) -> str:
+    return "\n".join(",".join(cells) for cells in [headers, *rows]) + "\n"
+
+
 def _write_csv(path: str, headers: list[str], rows: list[list[str]]) -> None:
-    text = "\n".join(",".join(cells) for cells in [headers, *rows]) + "\n"
-    atomic_write_bytes(path, text.encode())
+    atomic_write_bytes(path, _csv(headers, rows).encode())
     print(f"wrote {path}")
 
 
@@ -146,15 +149,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_schedule(args: argparse.Namespace) -> int:
     kind = {"cos": "cosine"}.get(args.kind, args.kind)
     sched = Schedule(t_i=args.ti, t_f=args.tf, kind=kind)
-    lines = ["t,delta"]
-    for t in range(0, args.tf + 1):
-        lines.append(f"{t},{delta(t, sched)!r}")
-    text = "\n".join(lines) + "\n"
+    headers, rows = ["t", "delta"], [[str(t), repr(delta(t, sched))] for t in range(args.tf + 1)]
     if args.out:
-        atomic_write_bytes(args.out, text.encode())
-        print(f"wrote {args.out} ({args.tf + 1} rows)")
+        _write_csv(args.out, headers, rows)
     else:
-        print(text, end="")
+        print(_csv(headers, rows), end="")
     return 0
 
 
@@ -214,7 +213,3 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

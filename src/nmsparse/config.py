@@ -17,29 +17,23 @@ import json
 import reprlib
 import types
 import typing
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import datasets
 from .masks import SparsePattern
 from .schedule import Schedule
-from .training import TrainConfig
+from .training import Hyperparameters, TrainConfig
 
 ARCHS = ("mlp", "cnn")
+_HYPERPARAMETERS = tuple(f.name for f in fields(Hyperparameters))  # what to_train_config copies
 
 
 @dataclass(frozen=True)
-class TrainerSettings:
+class TrainerSettings(Hyperparameters):
     arch: str = "mlp"
     hidden: tuple[int, ...] = (32, 32)
-    epochs: int = 40
-    batch_size: int = 64
-    learning_rate: float = 0.1
-    lr_schedule: str = "cosine"
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    sr_ste_weight: Optional[float] = None
 
     def __post_init__(self):
         if self.arch not in ARCHS:
@@ -49,6 +43,7 @@ class TrainerSettings:
             raise ValueError("an MLP needs at least one hidden layer")
         if any(h < 1 for h in self.hidden):
             raise ValueError(f"trainer.hidden: layer sizes must be at least 1, got {list(self.hidden)}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -67,24 +62,12 @@ class RunConfig:
         if type(kind) is not str or kind not in datasets.BUILDERS:
             raise ValueError(f"unknown dataset kind {kind!r}, expected one of {tuple(datasets.BUILDERS)}")
         _checked_kwargs(datasets.BUILDERS[kind], {k: v for k, v in self.dataset.items() if k != "kind"}, "dataset")
-        # surfaces TrainConfig validation errors before any work starts
+        # surfaces the remaining TrainConfig checks (tau, pattern without schedule) before any work starts
         self.to_train_config()
 
     def to_train_config(self) -> TrainConfig:
-        t = self.trainer
-        return TrainConfig(
-            epochs=t.epochs,
-            batch_size=t.batch_size,
-            learning_rate=t.learning_rate,
-            lr_schedule=t.lr_schedule,
-            momentum=t.momentum,
-            weight_decay=t.weight_decay,
-            sr_ste_weight=t.sr_ste_weight,
-            pattern=self.pattern,
-            schedule=self.schedule,
-            tau=self.tau,
-            seed=self.seed,
-        )
+        hyper = {name: getattr(self.trainer, name) for name in _HYPERPARAMETERS}
+        return TrainConfig(**hyper, pattern=self.pattern, schedule=self.schedule, tau=self.tau, seed=self.seed)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":

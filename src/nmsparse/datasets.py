@@ -67,16 +67,19 @@ def two_gaussians(samples: int = 1000, separation: float = 2.0, seed: int = 0) -
 
 
 def from_csv(path: str | Path, label_column: str) -> Dataset:
-    """Numeric CSV with a header row; one column holds integer class labels."""
+    """Numeric CSV with a header row and one cell per column in every row; one column holds integer class labels."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or label_column not in reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if label_column not in header:
             raise ValueError(f"CSV {path} has no column named {label_column!r}")
-        feature_names = [c for c in reader.fieldnames if c != label_column]
+        label = header.index(label_column)
         features, labels = [], []
-        for row in reader:
-            features.append([float(row[c]) for c in feature_names])
-            labels.append(int(row[label_column]))
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ValueError(f"CSV {path} line {reader.line_num}: {len(row)} cells for {len(header)} columns")
+            features.append([float(v) for i, v in enumerate(row) if i != label])
+            labels.append(int(row[label]))
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if y.size and y.min() < 0:

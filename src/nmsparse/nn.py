@@ -80,6 +80,8 @@ def mlp(sizes: list[int], rng: np.random.Generator) -> Model:
     """Fully connected ReLU network, e.g. sizes=[2, 32, 32, 2]."""
     if len(sizes) < 2:
         raise ValueError("an MLP needs at least input and output sizes")
+    if min(sizes) < 1:
+        raise ValueError(f"MLP layer sizes (input, hidden..., classes) must be at least 1, got {list(sizes)}")
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         dims = (fan_out, fan_in, 1, 1)

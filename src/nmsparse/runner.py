@@ -4,7 +4,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import datasets, nn, training
-from .archives import FoldedModel
+from .archives import FoldedLayer, FoldedModel
 from .checkpoint import Checkpoint, atomic_write_bytes, load_checkpoint, save_checkpoint
 from .config import RunConfig
 
@@ -65,6 +65,6 @@ def fold_checkpoint(ckpt: Checkpoint) -> FoldedModel:
     model = ckpt.model
     model.mark_eligibility(train_cfg.pattern)
     epoch = min(ckpt.epoch, train_cfg.epochs) - 1
-    masks = training.final_masks(model, train_cfg, epoch=max(epoch, 0))
-    folded = training.export_folded(model, masks)
-    return FoldedModel.from_model(model, folded, train_cfg.pattern)
+    folded = training.export_folded(model, training.final_masks(model, train_cfg, epoch=max(epoch, 0)))
+    layers = [FoldedLayer(l.name, l.kind, folded[l.name], l.bias, l.eligible, l.stride, l.padding) for l in model.layers]
+    return FoldedModel(layers, train_cfg.pattern)

@@ -35,18 +35,16 @@ from .tensors import WeightTensor4, block_layout_inverse
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    epochs: int
-    batch_size: int
-    learning_rate: float
+class Hyperparameters:
+    """The optimizer settings, shared by a run config's ``trainer`` section and ``TrainConfig``."""
+
+    epochs: int = 40
+    batch_size: int = 64
+    learning_rate: float = 0.1
     lr_schedule: str = "cosine"  # "constant" | "cosine"
     momentum: float = 0.9
     weight_decay: float = 1e-4
     sr_ste_weight: Optional[float] = None  # None -> 2 * weight_decay
-    pattern: Optional[SparsePattern] = None
-    schedule: Optional[Schedule] = None
-    tau: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -63,6 +61,17 @@ class TrainConfig:
             raise ValueError("weight decay must be nonnegative")
         if self.sr_ste_weight is not None and self.sr_ste_weight < 0:
             raise ValueError("sparse-refined weight must be nonnegative")
+
+
+@dataclass(frozen=True)
+class TrainConfig(Hyperparameters):
+    pattern: Optional[SparsePattern] = None
+    schedule: Optional[Schedule] = None
+    tau: float = 0.1
+    seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
         if not self.tau > 0:
             raise ValueError("temperature must be positive")
         if self.pattern is not None and self.schedule is None:

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import re
+import time
 import zipfile
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from nmsparse import nn
 from nmsparse.archives import (
+    FoldedLayer,
     FoldedModel,
     load_compressed_archive,
     load_folded_archive,
@@ -26,6 +28,12 @@ from test_checkpoint import _golden_checkpoint
 PATTERN = SparsePattern(2, 4)
 
 
+def as_folded(model: nn.Model, pattern: SparsePattern | None) -> FoldedModel:
+    """``model``'s weights, taken as already folded."""
+    layers = [FoldedLayer(l.name, l.kind, WeightTensor4(l.weight), l.bias, l.eligible, l.stride, l.padding) for l in model.layers]
+    return FoldedModel(layers, pattern)
+
+
 def small_folded_model() -> FoldedModel:
     rng = np.random.default_rng(8)
     blocks = rearrange_to_blocks(WeightTensor4(rng.normal(size=(4, 8, 1, 1))), PATTERN.m)
@@ -38,7 +46,7 @@ def small_folded_model() -> FoldedModel:
             nn.Layer("linear", "fc1", rng.normal(size=(2, 4, 1, 1)), rng.normal(size=2)),
         ]
     )
-    return FoldedModel.from_model(model, {l.name: WeightTensor4(l.weight) for l in model.layers}, PATTERN)
+    return as_folded(model, PATTERN)
 
 
 def deflated_copy(src, dst) -> None:
@@ -79,8 +87,7 @@ def test_deflated_nmz_loads_like_the_stored_archive(archives):
             np.testing.assert_array_equal(a, b)
 
 
-# (name, compress_type, SHA-256 of the member bytes) in archive order. Zip
-# timestamps differ between runs, so the members are compared, not the files.
+# (name, compress_type, SHA-256 of the member bytes) in archive order.
 GOLDEN_MEMBERS = {
     "stored_nmz": [
         ("manifest.json", zipfile.ZIP_STORED, "fd8de88c232d2ae38f3cfbc9bfd9747b9f9f9ec59a8d5324c21f4d8f294127c1"),
@@ -104,6 +111,18 @@ def test_archive_members_match_golden_digests(archives, which):
     with zipfile.ZipFile(archives[which]) as zf:
         got = [(i.filename, i.compress_type, hashlib.sha256(zf.read(i)).hexdigest()) for i in zf.infolist()]
     assert got == GOLDEN_MEMBERS[which]
+
+
+def test_two_compresses_of_one_folded_archive_are_byte_equal(archives, tmp_path, monkeypatch):
+    first, second = tmp_path / "first.nmz", tmp_path / "second.nmz"
+    argv = ["compress", "--weights", str(archives["folded_npz"]), "--pattern", "2:4", "--out"]
+    assert main([*argv, str(first)]) == 0
+    now = time.time()
+    monkeypatch.setattr(time, "time", lambda: now + 3600.0)  # the second run is an hour later
+    assert main([*argv, str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    with zipfile.ZipFile(second) as zf:
+        assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
 
 
 def test_failed_compressed_write_leaves_the_old_archive_and_no_temp_file(tmp_path, capsys):

@@ -159,6 +159,35 @@ def test_run_training_writes_artifacts_and_resume_cli_path(tmp_path):
     assert training.metrics_to_csv(result2.metrics) == csv_text
 
 
+def _assert_folds_at(ckpt: Checkpoint, epoch: int) -> dict:
+    """``fold_checkpoint(ckpt)`` is the model folded with the masks of ``epoch``."""
+    folded = runner.fold_checkpoint(ckpt)
+    train_cfg = ckpt.config.to_train_config()
+    expected = training.export_folded(ckpt.model, training.final_masks(ckpt.model, train_cfg, epoch=epoch))
+    assert folded.pattern == train_cfg.pattern
+    assert [l.name for l in folded.layers] == [l.name for l in ckpt.model.layers]
+    for f, l in zip(folded.layers, ckpt.model.layers):
+        assert (f.kind, f.eligible, f.stride, f.padding) == (l.kind, l.eligible, l.stride, l.padding)
+        np.testing.assert_array_equal(f.weight.values, expected[l.name].values)
+        np.testing.assert_array_equal(f.bias, l.bias)
+    return {f.name: f.weight.values for f in folded.layers}
+
+
+def test_fold_checkpoint_folds_at_the_last_trained_epoch(tmp_path):
+    config = run_config(tmp_path, out_name="fold")
+    dataset = datasets.build(config.dataset)
+    part = training.fit(runner.build_model(config, dataset), dataset, config.to_train_config(), stop_epoch=3)
+    mid = Checkpoint(config, 3, part.iteration, part.model, part.velocity, "")
+    _assert_folds_at(mid, epoch=2)
+
+    untrained = runner.build_model(config, dataset)
+    at_zero = _assert_folds_at(Checkpoint(config, 0, 0, untrained, Velocity.zeros_like(untrained), ""), epoch=0)
+    # delta is 0 at epoch 0, so no block is pruned, unlike a fold at the end of the ramp
+    assert all(np.count_nonzero(w) == w.size for w in at_zero.values())
+    at_end = training.export_folded(untrained, training.final_masks(untrained, config.to_train_config()))
+    assert np.count_nonzero(at_end["fc1"].values) == at_end["fc1"].values.size // 2
+
+
 def _golden_checkpoint() -> Checkpoint:
     def values(shape, scale):
         return (np.arange(int(np.prod(shape)), dtype=np.float64).reshape(shape) * 0.37 % 1.0 - 0.5) * scale

@@ -8,7 +8,6 @@ import pytest
 
 from nmsparse import nn
 from nmsparse.archives import (
-    FoldedModel,
     load_compressed_archive,
     load_folded_archive,
     save_compressed_archive,
@@ -16,7 +15,7 @@ from nmsparse.archives import (
 )
 from nmsparse.cli import main
 from nmsparse.masks import SparsePattern
-from nmsparse.tensors import WeightTensor4
+from test_archives import as_folded, small_folded_model
 
 
 @pytest.fixture
@@ -78,11 +77,28 @@ def test_verify_exit_code_nonzero_on_violations(tmp_path, capsys):
             nn.Layer("linear", "fc2", rng.normal(size=(2, 8, 1, 1)), np.zeros(2)),
         ]
     )
-    folded = FoldedModel.from_model(model, {l.name: WeightTensor4(l.weight) for l in model.layers}, SparsePattern(2, 4))
+    folded = as_folded(model, SparsePattern(2, 4))
     path = tmp_path / "dense.npz"
     save_folded_archive(path, folded)
     assert main(["verify", "--weights", str(path), "--pattern", "2:4"]) == 1
     assert "violating" in capsys.readouterr().out
+
+
+def test_verify_csv_holds_the_printed_rows(tmp_path, capsys):
+    path, csv_out = tmp_path / "folded.npz", tmp_path / "verify.csv"
+    save_folded_archive(path, small_folded_model())
+    assert main(["verify", "--weights", str(path), "--pattern", "2:4", "--csv", str(csv_out)]) == 0
+    assert csv_out.read_text() == "layer,blocks,violations,sparsity\nfc0,8,0,0.5000\nfc1,-,-,dense\n"
+    assert f"wrote {csv_out}" in capsys.readouterr().out
+
+
+def test_bench_without_compressed_layers_exits_1(tmp_path, capsys):
+    model = nn.Model([nn.Layer("linear", "fc0", np.ones((2, 4, 1, 1)), np.zeros(2))])
+    path = tmp_path / "dense.nmz"
+    save_compressed_archive(path, as_folded(model, None), SparsePattern(2, 4))
+    capsys.readouterr()
+    assert main(["bench", "--archive", str(path), "--sizes", "8"]) == 1
+    assert capsys.readouterr().out == "archive holds no compressed layers\n"
 
 
 def test_folded_archive_round_trip(tmp_path):
@@ -93,7 +109,7 @@ def test_folded_archive_round_trip(tmp_path):
             nn.Layer("linear", "fc1", rng.normal(size=(2, 16, 1, 1)), rng.normal(size=2)),
         ]
     )
-    folded = FoldedModel.from_model(model, {l.name: WeightTensor4(l.weight) for l in model.layers}, None)
+    folded = as_folded(model, None)
     path = tmp_path / "f.npz"
     save_folded_archive(path, folded)
     back = load_folded_archive(path)
@@ -177,7 +193,7 @@ def _truncated_folded_archive(run_dir, tmp_path):
     rng = np.random.default_rng(2)
     model = nn.Model([nn.Layer("linear", "fc0", rng.normal(size=(2, 4, 1, 1)), np.zeros(2))])
     path = tmp_path / "truncated.npz"
-    save_folded_archive(path, FoldedModel.from_model(model, {"fc0": WeightTensor4(model.layers[0].weight)}, None))
+    save_folded_archive(path, as_folded(model, None))
     path.write_bytes(path.read_bytes()[:-40])
     return ["verify", "--weights", str(path), "--pattern", "2:4"], path
 
@@ -207,6 +223,19 @@ def _truncated_idx_dataset(doc, tmp_path):
     return {**doc, "dataset": {"kind": "idx", "images": str(images), "labels": str(labels)}}, str(images)
 
 
+def _csv_dataset(doc, tmp_path, text, named):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    return {**doc, "dataset": {"kind": "csv", "path": str(path), "label_column": "label"}}, named.format(path=path)
+
+
+def _idx_dataset(doc, tmp_path, width):
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, 2, 4, width) + bytes(2 * 4 * width))
+    labels.write_bytes(struct.pack(">II", 0x801, 2) + bytes([0, 1]))
+    return {**doc, "dataset": {"kind": "idx", "images": str(images), "labels": str(labels)}}, "at least 1"
+
+
 def _set(doc, section, key, value):
     return {**doc, section: {**doc[section], key: value}}
 
@@ -228,6 +257,10 @@ MALFORMED_CONFIGS = {
     "string_samples": lambda doc, _: (_set(doc, "dataset", "samples", "200"), "dataset.samples"),
     "null_trainer": lambda doc, _: ({**doc, "trainer": None}, "trainer"),
     "top_level_list": lambda doc, _: ([doc], "config"),
+    "csv_short_row": lambda doc, tmp: _csv_dataset(doc, tmp, "x,y,label\n0.5,1.0,0\n0.25,1\n", "{path} line 3"),
+    "csv_long_row": lambda doc, tmp: _csv_dataset(doc, tmp, "x,y,label\n0.5,1.0,0,7\n", "{path} line 2"),
+    "csv_label_only": lambda doc, tmp: _csv_dataset(doc, tmp, "label\n0\n1\n", "at least 1"),
+    "idx_zero_width": lambda doc, tmp: _idx_dataset(doc, tmp, width=0),
 }
 
 
@@ -248,7 +281,7 @@ def test_bench_rejects_column_counts_below_one(sizes, tmp_path, capsys):
     weight = np.array([[1.0, 0.0, -2.0, 0.0], [0.0, 3.0, 0.0, 4.0]]).reshape(2, 4, 1, 1)  # 2:4 compliant
     model = nn.Model([nn.Layer("linear", "fc0", weight, np.zeros(2), eligible=True)])
     path = tmp_path / "model.nmz"
-    save_compressed_archive(path, FoldedModel.from_model(model, {"fc0": WeightTensor4(weight)}, None), SparsePattern(2, 4))
+    save_compressed_archive(path, as_folded(model, None), SparsePattern(2, 4))
     assert main(["bench", "--archive", str(path), "--sizes", sizes]) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: [^\n]*--sizes[^\n]*\n", err)

@@ -7,6 +7,7 @@ import pytest
 from nmsparse.config import RunConfig, TrainerSettings
 from nmsparse.masks import SparsePattern
 from nmsparse.schedule import Schedule
+from nmsparse.training import TrainConfig
 
 
 def sample_doc():
@@ -109,6 +110,40 @@ def test_trainer_settings_defaults():
     assert t.arch == "mlp" and t.hidden == (32, 32)
     with pytest.raises(ValueError):
         TrainerSettings(arch="mlp", hidden=())
+
+
+# trainer key -> (bad value, its error message as a regex)
+BAD_TRAINER_VALUES = {
+    "epochs": (0, "need at least one epoch"),
+    "batch_size": (0, "batch size must be positive"),
+    "learning_rate": (0.0, "learning rate must be positive"),
+    "lr_schedule": ("step", "unknown lr schedule 'step'"),
+    "momentum": (1.0, r"momentum must lie in \[0, 1\)"),
+    "weight_decay": (-1e-4, "weight decay must be nonnegative"),
+    "sr_ste_weight": (-1.0, "sparse-refined weight must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_TRAINER_VALUES))
+def test_bad_trainer_value_is_rejected_by_the_trainer_section_and_train_config(key):
+    value, message = BAD_TRAINER_VALUES[key]
+    doc = sample_doc()
+    doc["trainer"][key] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RunConfig.from_dict(doc)
+    for cls in (TrainerSettings, TrainConfig):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(**{key: value})
+
+
+def test_train_config_takes_every_trainer_setting_and_keeps_its_field_order():
+    cfg = RunConfig.from_dict(sample_doc())
+    tc = cfg.to_train_config()
+    assert list(vars(tc)) == [
+        "epochs", "batch_size", "learning_rate", "lr_schedule", "momentum", "weight_decay", "sr_ste_weight",
+        "pattern", "schedule", "tau", "seed",
+    ]
+    assert tc == TrainConfig(40, 64, 0.3, "cosine", 0.9, 1e-4, None, SparsePattern(2, 4), Schedule(0, 30), 0.1, 1234)
 
 
 # SHA-256 of to_json(), recorded before the schema was read from the dataclasses
