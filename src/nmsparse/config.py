@@ -37,12 +37,12 @@ class TrainerSettings(Hyperparameters):
 
     def __post_init__(self):
         if self.arch not in ARCHS:
-            raise ValueError(f"unknown arch {self.arch!r}, expected one of {ARCHS}")
+            raise ValueError(f"arch: unknown arch {self.arch!r}, expected one of {ARCHS}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if self.arch == "mlp" and not self.hidden:
-            raise ValueError("an MLP needs at least one hidden layer")
+            raise ValueError("hidden: an MLP needs at least one hidden layer")
         if any(h < 1 for h in self.hidden):
-            raise ValueError(f"trainer.hidden: layer sizes must be at least 1, got {list(self.hidden)}")
+            raise ValueError(f"hidden: layer sizes must be at least 1, got {list(self.hidden)}")
         super().__post_init__()
 
 
@@ -138,6 +138,14 @@ def _value(key: str, value, shape):
     if base is tuple and type(value) is list:
         return tuple(_value(f"{key}[{i}]", v, (False, elem, None)) for i, v in enumerate(value))
     if is_dataclass(base) and type(value) is dict:
-        return base(**_checked_kwargs(base, value, key))
+        kwargs = _checked_kwargs(base, value, key)
+        try:
+            return base(**kwargs)
+        except ValueError as exc:
+            if not key:
+                raise
+            # a section's checks name their field ("epochs: ..."), read as trainer.epochs: ...
+            named = str(exc).partition(": ")[0] in _schema(base)
+            raise ValueError(f"{key}{'.' if named else ': '}{exc}") from None
     expected = "object" if base is dict or is_dataclass(base) else "list" if base is tuple else base.__name__
     raise ValueError(f"{key or 'config'}: expected {expected}, got {reprlib.repr(value)}")

@@ -78,13 +78,23 @@ def from_csv(path: str | Path, label_column: str) -> Dataset:
         for row in filter(None, reader):
             if len(row) != len(header):
                 raise ValueError(f"CSV {path} line {reader.line_num}: {len(row)} cells for {len(header)} columns")
-            features.append([float(v) for i, v in enumerate(row) if i != label])
-            labels.append(int(row[label]))
+            where = f"CSV {path} line {reader.line_num}"
+            features.append([_cell(float, v, where, header[i]) for i, v in enumerate(row) if i != label])
+            labels.append(_cell(int, row[label], where, label_column))
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if y.size and y.min() < 0:
         raise ValueError("labels must be nonnegative integers")
     return Dataset(X, y, num_classes=int(y.max()) + 1 if y.size else 0)
+
+
+def _cell(kind: type, text: str, where: str, column: str):
+    """``kind(text)``, or one ValueError naming the file, line and column."""
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "an integer label" if kind is int else "a number"
+        raise ValueError(f"{where} column {column!r}: expected {expected}, got {text!r}") from None
 
 
 def read_idx(path: str | Path) -> np.ndarray:

@@ -25,13 +25,13 @@ class Schedule:
 
     def __post_init__(self):
         if not (0 <= self.t_i < self.t_f):
-            raise ValueError(f"invalid schedule: need 0 <= t_i < t_f, got ({self.t_i}, {self.t_f})")
+            raise ValueError(f"t_f: need 0 <= t_i < t_f, got ({self.t_i}, {self.t_f})")
         if self.kind not in KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {KINDS}")
+            raise ValueError(f"kind: unknown schedule kind {self.kind!r}, expected one of {KINDS}")
         if self.ordering not in ORDERINGS:
-            raise ValueError(f"unknown ordering {self.ordering!r}, expected one of {ORDERINGS}")
+            raise ValueError(f"ordering: unknown ordering {self.ordering!r}, expected one of {ORDERINGS}")
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+            raise ValueError(f"mode: unknown mode {self.mode!r}, expected one of {MODES}")
 
 
 def delta(t: float, sched: Schedule) -> float:

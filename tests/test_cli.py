@@ -260,6 +260,15 @@ MALFORMED_CONFIGS = {
     "csv_short_row": lambda doc, tmp: _csv_dataset(doc, tmp, "x,y,label\n0.5,1.0,0\n0.25,1\n", "{path} line 3"),
     "csv_long_row": lambda doc, tmp: _csv_dataset(doc, tmp, "x,y,label\n0.5,1.0,0,7\n", "{path} line 2"),
     "csv_label_only": lambda doc, tmp: _csv_dataset(doc, tmp, "label\n0\n1\n", "at least 1"),
+    "csv_text_feature": lambda doc, tmp: _csv_dataset(doc, tmp, "x,y,label\nabc,1.0,0\n", "{path} line 2 column 'x'"),
+    "csv_fractional_label": lambda doc, tmp: _csv_dataset(
+        doc, tmp, "x,y,label\n0.5,1.0,0\n0.5,1.0,1.5\n", "{path} line 3 column 'label'"
+    ),
+    "zero_epochs": lambda doc, _: (_set(doc, "trainer", "epochs", 0), "trainer.epochs: need at least one epoch"),
+    "momentum_above_one": lambda doc, _: (_set(doc, "trainer", "momentum", 1.5), "trainer.momentum: "),
+    "zero_tau": lambda doc, _: ({**doc, "tau": 0}, "tau: temperature must be positive"),
+    "backward_schedule": lambda doc, _: (_set(doc, "schedule", "t_i", 50), "schedule.t_f: "),
+    "pattern_n_above_m": lambda doc, _: ({**doc, "pattern": {"n": 5, "m": 4}}, "pattern: need 1 <= n < m"),
     "idx_zero_width": lambda doc, tmp: _idx_dataset(doc, tmp, width=0),
 }
 

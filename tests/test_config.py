@@ -129,10 +129,10 @@ def test_bad_trainer_value_is_rejected_by_the_trainer_section_and_train_config(k
     value, message = BAD_TRAINER_VALUES[key]
     doc = sample_doc()
     doc["trainer"][key] = value
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^trainer\\.{key}: {message}$"):
         RunConfig.from_dict(doc)
     for cls in (TrainerSettings, TrainConfig):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{key}: {message}$"):
             cls(**{key: value})
 
 

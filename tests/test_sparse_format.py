@@ -4,12 +4,15 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import sparse
 from scipy.signal import correlate2d
 
 from nmsparse.errors import DimensionError, PatternViolationError
 from nmsparse.masks import SparsePattern, build_masks
 from nmsparse.sparse_format import (
     CompressedNM,
+    _csr_matrix,
+    _dense_matrix,
     bench,
     compress,
     conv2d_sparse,
@@ -405,6 +408,45 @@ def test_spmm_dimension_mismatch():
         spmm(c, np.ones((9, 3)))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    nm=st.sampled_from([(2, 4), (1, 4), (1, 8), (2, 16), (1, 16), (3, 7)]),
+    kernel=st.sampled_from([(1, 1), (3, 3)]),
+    c_out=st.integers(1, 5),
+    c_in_blocks=st.integers(1, 3),
+    cols=st.sampled_from([None, 1, 6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csr_and_dense_kernels_agree(nm, kernel, c_out, c_in_blocks, cols, seed):
+    # spmm serves one of the two kernels per pattern; this keeps the other one checked
+    rng = np.random.default_rng(seed)
+    pattern = SparsePattern(*nm)
+    dims = (c_out, pattern.m * c_in_blocks, *kernel)
+    w = masked_tensor(rng, dims, pattern)
+    c = compress(WeightTensor4(w.values * (rng.random(dims) < 0.8)), pattern)  # under-full blocks too
+    inner = c.matrix_shape[1]
+    x = rng.uniform(-1.0, 1.0, size=(inner,) if cols is None else (inner, cols))
+    dense = _dense_matrix(c)
+    np.testing.assert_array_equal(dense, decompress(c).values.reshape(c.matrix_shape))
+    out = {"csr": _csr_matrix(c) @ x, "dense": dense @ x}
+    assert out["csr"].shape == out["dense"].shape == (c_out, *x.shape[1:])
+    assert (np.abs(out["csr"] - out["dense"]) <= 1e-12 * (np.abs(dense) @ np.abs(x))).all()
+    np.testing.assert_array_equal(spmm(c, x), out[c.kernel])
+
+
+@pytest.mark.parametrize(
+    "n, m, kernel",
+    [(2, 4, "dense"), (1, 4, "dense"), (3, 7, "dense"), (2, 15, "dense"), (1, 8, "csr"), (2, 16, "csr"), (1, 16, "csr")],
+)
+def test_operator_is_dense_above_one_eighth_and_built_once(n, m, kernel):
+    pattern = SparsePattern(n, m)
+    c = compress(masked_tensor(np.random.default_rng(m), (3, 2 * m, 1, 1), pattern), pattern)
+    assert c.kernel == kernel
+    op = c.operator()
+    assert type(op) is (np.ndarray if kernel == "dense" else sparse.csr_matrix)
+    assert c.operator() is op
+
+
 def test_conv2d_sparse_matches_dense_conv():
     rng = np.random.default_rng(7)
     pattern = SparsePattern(2, 4)
@@ -467,6 +509,7 @@ def test_bench_reports_timings_and_flop_reduction():
     c = compress(w, pattern)
     x = rng.uniform(-1.0, 1.0, size=(32, 16))
     report = bench(c, x, repetitions=2)
-    assert report.sparse_seconds > 0 and report.dense_seconds > 0
+    assert report.csr_seconds > 0 and report.dense_seconds > 0
+    assert report.kernel == "dense"
     assert report.flop_reduction == pytest.approx(4 / 2)
     assert report.speedup > 0
