@@ -117,7 +117,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not sizes or min(sizes) < 1:
         raise ValueError(f"--sizes needs one or more column counts >= 1, got {args.sizes!r}")
     rng = np.random.default_rng(args.seed)
-    headers = ["layer", "shape", "cols", "csr_ms", "dense_ms", "speedup", "kernel", "flop_reduction"]
+    headers = ["layer", "shape", "cols", "csr_ms", "dense_ms", "speedup", "flop_reduction"]
     rows = []
     for entry, payload in load_compressed_archive(args.archive):
         if not isinstance(payload, sparse_format.CompressedNM):
@@ -134,7 +134,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     f"{report.csr_seconds * 1e3:.3f}",
                     f"{report.dense_seconds * 1e3:.3f}",
                     f"{report.speedup:.3f}",
-                    report.kernel,
                     f"{report.flop_reduction:.2f}",
                 ]
             )
@@ -187,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_compress)
 
-    p = sub.add_parser("bench", help="time the CSR and dense kernels and name the one spmm uses")
+    p = sub.add_parser("bench", help="time a CSR product against the dense GEMM that spmm uses")
     p.add_argument("--archive", required=True)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--sizes", default="64,256", help="comma-separated input column counts")

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import datasets
+from .errors import FieldError
 from .masks import SparsePattern
 from .schedule import Schedule
 from .training import Hyperparameters, TrainConfig
@@ -37,12 +38,12 @@ class TrainerSettings(Hyperparameters):
 
     def __post_init__(self):
         if self.arch not in ARCHS:
-            raise ValueError(f"arch: unknown arch {self.arch!r}, expected one of {ARCHS}")
+            raise FieldError("arch", f"unknown arch {self.arch!r}, expected one of {ARCHS}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if self.arch == "mlp" and not self.hidden:
-            raise ValueError("hidden: an MLP needs at least one hidden layer")
+            raise FieldError("hidden", "an MLP needs at least one hidden layer")
         if any(h < 1 for h in self.hidden):
-            raise ValueError(f"hidden: layer sizes must be at least 1, got {list(self.hidden)}")
+            raise FieldError("hidden", f"layer sizes must be at least 1, got {list(self.hidden)}")
         super().__post_init__()
 
 
@@ -141,11 +142,8 @@ def _value(key: str, value, shape):
         kwargs = _checked_kwargs(base, value, key)
         try:
             return base(**kwargs)
-        except ValueError as exc:
-            if not key:
-                raise
-            # a section's checks name their field ("epochs: ..."), read as trainer.epochs: ...
-            named = str(exc).partition(": ")[0] in _schema(base)
-            raise ValueError(f"{key}{'.' if named else ': '}{exc}") from None
+        except FieldError as exc:
+            prefix = f"{key}." if key else ""
+            raise ValueError(f"{prefix}{exc.field}: {exc}") from None
     expected = "object" if base is dict or is_dataclass(base) else "list" if base is tuple else base.__name__
     raise ValueError(f"{key or 'config'}: expected {expected}, got {reprlib.repr(value)}")

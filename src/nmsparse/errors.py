@@ -24,3 +24,15 @@ class DivergenceError(RuntimeError):
         super().__init__(f"non-finite loss at epoch {epoch}, iteration {iteration}")
         self.epoch = epoch
         self.iteration = iteration
+
+
+class FieldError(ValueError):
+    """A dataclass field holds a value its checks reject; ``field`` names it.
+
+    The run-config reader reports it under the field's full key, e.g.
+    ``trainer.epochs: need at least one epoch``.
+    """
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field

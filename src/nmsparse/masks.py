@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import DegenerateAxisError, DimensionError
+from .errors import DegenerateAxisError, DimensionError, FieldError
 from .schedule import ORDERINGS
 from .tensors import (
     BlockMatrix,
@@ -49,9 +49,9 @@ class SparsePattern:
 
     def __post_init__(self):
         if not (isinstance(self.n, int) and isinstance(self.m, int)):
-            raise ValueError("pattern n and m must be integers")
+            raise FieldError("n" if not isinstance(self.n, int) else "m", "pattern n and m must be integers")
         if not 1 <= self.n < self.m:
-            raise ValueError(f"need 1 <= n < m, got {self.n}:{self.m}")
+            raise FieldError("n", f"need 1 <= n < m, got {self.n}:{self.m}")
 
     @property
     def sparse_rate(self) -> float:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import FieldError
+
 KINDS = ("cubic", "linear", "cosine")
 ORDERINGS = ("l1_descending", "l1_ascending")
 MODES = ("block_percentage", "block_width")
@@ -25,13 +27,16 @@ class Schedule:
 
     def __post_init__(self):
         if not (0 <= self.t_i < self.t_f):
-            raise ValueError(f"t_f: need 0 <= t_i < t_f, got ({self.t_i}, {self.t_f})")
+            raise FieldError(
+                "t_i" if self.t_i < 0 else "t_f",
+                f"invalid schedule: need 0 <= t_i < t_f, got ({self.t_i}, {self.t_f})",
+            )
         if self.kind not in KINDS:
-            raise ValueError(f"kind: unknown schedule kind {self.kind!r}, expected one of {KINDS}")
+            raise FieldError("kind", f"unknown schedule kind {self.kind!r}, expected one of {KINDS}")
         if self.ordering not in ORDERINGS:
-            raise ValueError(f"ordering: unknown ordering {self.ordering!r}, expected one of {ORDERINGS}")
+            raise FieldError("ordering", f"unknown ordering {self.ordering!r}, expected one of {ORDERINGS}")
         if self.mode not in MODES:
-            raise ValueError(f"mode: unknown mode {self.mode!r}, expected one of {MODES}")
+            raise FieldError("mode", f"unknown mode {self.mode!r}, expected one of {MODES}")
 
 
 def delta(t: float, sched: Schedule) -> float:

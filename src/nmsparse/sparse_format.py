@@ -4,8 +4,8 @@ Each block stores exactly n single-precision values plus n column indices;
 indices are bit-packed at ceil(log2 m) bits each in the serialized form.
 Under-full blocks are padded with explicit zeros at the smallest free
 indices so every compliant tensor is representable. The kernels multiply
-through one operator built once per tensor: the decompressed dense f64
-matrix when n/m > ``DENSE_ABOVE``, and otherwise a scipy CSR matrix.
+by the decompressed dense f64 matrix, built once per tensor: on CPU without
+N:M hardware support a dense GEMM beats a scipy CSR product (see :func:`spmm`).
 
 Serialized layout (little-endian): magic ``NMSP``, version u16, n u8, m u8,
 origin dims 4 x u32, block count u64, then per block n x f32 values
@@ -38,25 +38,6 @@ from .tensors import Dims4, WeightTensor4, block_layout, block_layout_inverse
 MAGIC = b"NMSP"
 VERSION = 1
 _HEADER = struct.Struct("<4sHBB4IQ")
-
-DENSE_ABOVE = 1 / 8
-"""Density n/m above which ``spmm`` multiplies by the dense matrix instead of CSR.
-
-On CPU a scipy CSR product loses to a dense f64 GEMM of the decompressed
-matrix at every n/m >= 1/4. Medians of 30 calls, CSR / dense in ms (2-core
-Intel Xeon, one BLAS thread, numpy 2.4.6, scipy 1.17.1; relative differences
-<= 1.7e-15):
-
-| shape x cols | 2:4 | 1:4 | 1:8 | 2:16 | 1:16 |
-|---|---|---|---|---|---|
-| 1024x1024 x 64 | 11.09 / 3.16 | 6.25 / 3.20 | 2.76 / 2.61 | 2.55 / 2.68 | 1.28 / 2.70 |
-| 256x256 x 64 | 0.593 / 0.144 | 0.291 / 0.144 | 0.147 / 0.148 | 0.146 / 0.175 | 0.083 / 0.144 |
-| 128x64x3x3 x 1024 | 19.7 / 2.74 | 9.21 / 2.84 | 3.45 / 2.45 | 4.03 / 2.32 | 1.84 / 3.04 |
-
-At 1:8 and 2:16 the two tie on two of the three shapes, and CSR is kept
-there: it holds 5x less memory (1.6 MB against 8.4 MB per 1024x1024 layer).
-The rule reads only the tensor's pattern.
-"""
 
 
 def _index_bits(m: int) -> int:
@@ -124,7 +105,7 @@ class CompressedNM:
     origin_dims: Dims4
     values: np.ndarray
     indices: np.ndarray
-    _operator: np.ndarray | sparse.csr_matrix | None = field(default=None, init=False, repr=False)
+    _operator: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         _check_block_width(self.pattern)
@@ -166,19 +147,13 @@ class CompressedNM:
         c_out, c_in, k_h, k_w = self.origin_dims
         return c_out, c_in * k_h * k_w
 
-    @property
-    def kernel(self) -> str:
-        """``"dense"`` when n/m > ``DENSE_ABOVE``, else ``"csr"``: the form :meth:`operator` takes."""
-        return "dense" if self.pattern.n / self.pattern.m > DENSE_ABOVE else "csr"
+    def operator(self) -> np.ndarray:
+        """The dense (c_out, c_in*k_h*k_w) f64 matrix that :func:`spmm` multiplies by, built on first use.
 
-    def operator(self) -> np.ndarray | sparse.csr_matrix:
-        """The (c_out, c_in*k_h*k_w) f64 matrix that :func:`spmm` multiplies by, built on first use.
-
-        It is the decompressed dense array or the CSR matrix, as :attr:`kernel`
-        names. The cache assumes values and indices are not modified afterwards.
+        The cache assumes values and indices are not modified afterwards.
         """
         if self._operator is None:
-            self._operator = _KERNELS[self.kernel](self)
+            self._operator = _dense_matrix(self)
         return self._operator
 
     def to_bytes(self) -> bytes:
@@ -247,17 +222,25 @@ def compress(w: WeightTensor4, pattern: SparsePattern) -> CompressedNM:
     return CompressedNM(pattern, w.dims, values.reshape(-1, n), indices.reshape(-1, n))
 
 
-def decompress(c: CompressedNM) -> WeightTensor4:
-    """Exact inverse of :func:`compress` on its image (values kept verbatim)."""
+def _decompressed(c: CompressedNM) -> np.ndarray:
+    """The (c_out, c_in, k_h, k_w) f64 array, stored values taken as they are."""
     m = c.pattern.m
     dense = np.zeros((c.g, m), dtype=np.float64)
     rows = np.arange(c.g)[:, None]
     dense[rows, c.indices.astype(np.int64)] = c.values.astype(np.float64)
-    return WeightTensor4(block_layout_inverse(dense, c.origin_dims))
+    return block_layout_inverse(dense, c.origin_dims)
+
+
+def decompress(c: CompressedNM) -> WeightTensor4:
+    """Exact inverse of :func:`compress` on its image (values kept verbatim)."""
+    return WeightTensor4(_decompressed(c))
 
 
 def _csr_matrix(c: CompressedNM) -> sparse.csr_matrix:
-    """The (c_out, c_in*k_h*k_w) matrix view in CSR form, holding every stored slot."""
+    """The (c_out, c_in*k_h*k_w) matrix view in CSR form, holding every stored slot.
+
+    :func:`bench` times it against the dense matrix that :func:`spmm` uses.
+    """
     n, m = c.pattern.n, c.pattern.m
     c_out, c_in, k_h, k_w = c.origin_dims
     # a slot's column depends only on its block's place within the filter
@@ -272,19 +255,29 @@ def _csr_matrix(c: CompressedNM) -> sparse.csr_matrix:
 
 
 def _dense_matrix(c: CompressedNM) -> np.ndarray:
-    """The (c_out, c_in*k_h*k_w) matrix view as a C-contiguous f64 array."""
-    return decompress(c).values.reshape(c.matrix_shape)
+    """The (c_out, c_in*k_h*k_w) matrix view as a C-contiguous f64 array.
 
-
-_KERNELS = {"csr": _csr_matrix, "dense": _dense_matrix}
+    Built without :class:`WeightTensor4`'s finiteness check: a stored NaN or
+    Inf propagates into the product, as it does through CSR, instead of raising.
+    """
+    return np.ascontiguousarray(_decompressed(c)).reshape(c.matrix_shape)
 
 
 def spmm(c: CompressedNM, x: np.ndarray) -> np.ndarray:
     """Multiply the compressed tensor, viewed as (c_out, c_in*k_h*k_w), by x.
 
-    The product goes through the tensor's cached :meth:`CompressedNM.operator`:
-    a dense f64 GEMM when n/m > ``DENSE_ABOVE``, where it beats CSR on CPU, and
-    a CSR product that reads only stored entries otherwise.
+    The product is a dense f64 GEMM through the tensor's cached
+    :meth:`CompressedNM.operator`. On CPU it beats a scipy CSR product at
+    every n/m >= 1/4 and ties at 1:8 and 2:16; CSR wins only near 1:16, where
+    it also holds about a tenth of the dense matrix's memory. Medians of 30
+    calls, CSR / dense in ms (2-core Intel Xeon, one BLAS thread, numpy 2.4.6,
+    scipy 1.17.1):
+
+    | shape x cols | 2:4 | 1:4 | 1:8 | 2:16 | 1:16 |
+    |---|---|---|---|---|---|
+    | 1024x1024 x 64 | 11.09 / 3.16 | 6.25 / 3.20 | 2.76 / 2.61 | 2.55 / 2.68 | 1.28 / 2.70 |
+    | 256x256 x 64 | 0.593 / 0.144 | 0.291 / 0.144 | 0.147 / 0.148 | 0.146 / 0.175 | 0.083 / 0.144 |
+    | 128x64x3x3 x 1024 | 19.7 / 2.74 | 9.21 / 2.84 | 3.45 / 2.45 | 4.03 / 2.32 | 1.84 / 3.04 |
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
@@ -333,22 +326,25 @@ class BenchReport:
     matrix_shape: tuple[int, int]
     csr_seconds: float
     dense_seconds: float
-    kernel: str  # the one spmm uses: "csr" or "dense"
     flop_reduction: float
 
     @property
     def speedup(self) -> float:
-        """Dense time over CSR time: above 1 where the CSR product wins."""
+        """Dense time over CSR time: above 1 where CSR would beat the dense product spmm uses."""
         return self.dense_seconds / self.csr_seconds if self.csr_seconds > 0 else float("inf")
 
 
 def bench(c: CompressedNM, x: np.ndarray, repetitions: int = 5) -> BenchReport:
-    """Best-of-N wall time of the CSR and the dense product on the same data."""
+    """Best-of-N wall time of a CSR product and of spmm's dense product on the same data.
+
+    ``flop_reduction`` is that of the CSR product, which reads only stored
+    slots; the dense product does the full work.
+    """
     if repetitions < 1:
         raise ValueError("need at least one repetition")
     x = np.asarray(x, dtype=np.float64)
     best = {}
-    for name, build in _KERNELS.items():
+    for name, build in (("csr", _csr_matrix), ("dense", _dense_matrix)):
         op = build(c)
         op @ x  # warm up
         best[name] = min(_timed(lambda: op @ x) for _ in range(repetitions))
@@ -360,7 +356,6 @@ def bench(c: CompressedNM, x: np.ndarray, repetitions: int = 5) -> BenchReport:
         matrix_shape=c.matrix_shape,
         csr_seconds=best["csr"],
         dense_seconds=best["dense"],
-        kernel=c.kernel,
         flop_reduction=dense_flops / sparse_flops,
     )
 

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import nn
-from .errors import DivergenceError
+from .errors import DivergenceError, FieldError
 from .masks import HardMask, SoftMask, SparsePattern, build_masks, fold
 from .schedule import Schedule, delta as schedule_delta
 from .tensors import WeightTensor4, block_layout_inverse
@@ -48,19 +48,19 @@ class Hyperparameters:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs: need at least one epoch")
+            raise FieldError("epochs", "need at least one epoch")
         if self.batch_size < 1:
-            raise ValueError("batch_size: batch size must be positive")
+            raise FieldError("batch_size", "batch size must be positive")
         if not self.learning_rate > 0:
-            raise ValueError("learning_rate: learning rate must be positive")
+            raise FieldError("learning_rate", "learning rate must be positive")
         if self.lr_schedule not in ("constant", "cosine"):
-            raise ValueError(f"lr_schedule: unknown lr schedule {self.lr_schedule!r}")
+            raise FieldError("lr_schedule", f"unknown lr schedule {self.lr_schedule!r}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum: momentum must lie in [0, 1)")
+            raise FieldError("momentum", "momentum must lie in [0, 1)")
         if self.weight_decay < 0:
-            raise ValueError("weight_decay: weight decay must be nonnegative")
+            raise FieldError("weight_decay", "weight decay must be nonnegative")
         if self.sr_ste_weight is not None and self.sr_ste_weight < 0:
-            raise ValueError("sr_ste_weight: sparse-refined weight must be nonnegative")
+            raise FieldError("sr_ste_weight", "sparse-refined weight must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,9 @@ class TrainConfig(Hyperparameters):
     def __post_init__(self):
         super().__post_init__()
         if not self.tau > 0:
-            raise ValueError("tau: temperature must be positive")
+            raise FieldError("tau", "temperature must be positive")
         if self.pattern is not None and self.schedule is None:
-            raise ValueError("schedule: a sparse pattern needs a schedule")
+            raise FieldError("schedule", "a sparse pattern needs a schedule")
 
     @property
     def sr_weight(self) -> float:

@@ -136,6 +136,11 @@ def test_schedule_command_writes_expected_csv(tmp_path, capsys):
     assert "t,delta" in capsys.readouterr().out
 
 
+def test_schedule_command_error_names_no_config_key(capsys):
+    assert main(["schedule", "--ti", "50", "--tf", "10"]) == 2
+    assert capsys.readouterr().err == "error: invalid schedule: need 0 <= t_i < t_f, got (50, 10)\n"
+
+
 def test_cli_reports_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"pattern": {"n": 4, "m": 4}, "schedule": {"t_f": 10}, "dataset": {"kind": "two_spirals"}}))
@@ -268,7 +273,8 @@ MALFORMED_CONFIGS = {
     "momentum_above_one": lambda doc, _: (_set(doc, "trainer", "momentum", 1.5), "trainer.momentum: "),
     "zero_tau": lambda doc, _: ({**doc, "tau": 0}, "tau: temperature must be positive"),
     "backward_schedule": lambda doc, _: (_set(doc, "schedule", "t_i", 50), "schedule.t_f: "),
-    "pattern_n_above_m": lambda doc, _: ({**doc, "pattern": {"n": 5, "m": 4}}, "pattern: need 1 <= n < m"),
+    "negative_t_i": lambda doc, _: (_set(doc, "schedule", "t_i", -1), "schedule.t_i: "),
+    "pattern_n_above_m": lambda doc, _: ({**doc, "pattern": {"n": 5, "m": 4}}, "pattern.n: need 1 <= n < m"),
     "idx_zero_width": lambda doc, tmp: _idx_dataset(doc, tmp, width=0),
 }
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from nmsparse.config import RunConfig, TrainerSettings
+from nmsparse.errors import FieldError
 from nmsparse.masks import SparsePattern
 from nmsparse.schedule import Schedule
 from nmsparse.training import TrainConfig
@@ -132,8 +133,9 @@ def test_bad_trainer_value_is_rejected_by_the_trainer_section_and_train_config(k
     with pytest.raises(ValueError, match=f"^trainer\\.{key}: {message}$"):
         RunConfig.from_dict(doc)
     for cls in (TrainerSettings, TrainConfig):
-        with pytest.raises(ValueError, match=f"^{key}: {message}$"):
+        with pytest.raises(FieldError, match=f"^{message}$") as info:
             cls(**{key: value})
+        assert info.value.field == key
 
 
 def test_train_config_takes_every_trainer_setting_and_keeps_its_field_order():
