@@ -3,7 +3,8 @@
 Layout (little-endian): magic ``MAXQCKPT``, version u16, section count u32,
 then length-prefixed sections, each a 4-byte tag + u64 payload length.
 Sections: CFG (config JSON), CTR (epoch + iteration), LYR (layer states with
-f64 weights, biases, and momentum buffers), MET (metrics CSV text).
+finite f64 weights, biases, and momentum buffers), MET (metrics CSV text,
+one row per completed epoch).
 
 Reloading a checkpoint and resuming reproduces the bit-identical remainder
 of the run for the same seed: epoch shuffles are derived from (seed, epoch)
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import nn
 from .config import RunConfig
-from .training import Velocity
+from .training import Velocity, parse_metrics_csv
 
 MAGIC = b"MAXQCKPT"
 VERSION = 1
@@ -102,7 +103,10 @@ def _read_array(blob: memoryview, off: int) -> tuple[np.ndarray, int]:
     if end > len(blob):
         raise ValueError(f"array at offset {off} of the layer section runs past its end")
     # The copy makes the array owned and writable: training updates it in place.
-    return np.frombuffer(blob[start:end], dtype="<f8").reshape(shape).copy(), end
+    a = np.frombuffer(blob[start:end], dtype="<f8").reshape(shape).copy()
+    if not np.isfinite(a).all():
+        raise ValueError(f"array at offset {off} of the layer section holds NaN or Inf")
+    return a, end
 
 
 def _layer_section(model: nn.Model, velocity: Velocity) -> list:
@@ -188,11 +192,15 @@ def _parse_checkpoint(blob: bytes) -> Checkpoint:
     config = RunConfig.from_json(bytes(sections[b"CFG\x00"]).decode())
     epoch, iteration = struct.unpack_from("<QQ", sections[b"CTR\x00"], 0)
     model, velocity = _parse_layers(sections[b"LYR\x00"])
+    metrics_csv = bytes(sections[b"MET\x00"]).decode()
+    rows = len(parse_metrics_csv(metrics_csv))
+    if rows != epoch:
+        raise ValueError(f"{rows} metrics rows for {epoch} completed epochs")
     return Checkpoint(
         config=config,
         epoch=int(epoch),
         iteration=int(iteration),
         model=model,
         velocity=velocity,
-        metrics_csv=bytes(sections[b"MET\x00"]).decode(),
+        metrics_csv=metrics_csv,
     )

@@ -113,7 +113,12 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    if args.reps < 1:
+        raise ValueError(f"--reps needs at least one repetition, got {args.reps}")
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        sizes = []
     if not sizes or min(sizes) < 1:
         raise ValueError(f"--sizes needs one or more column counts >= 1, got {args.sizes!r}")
     rng = np.random.default_rng(args.seed)
@@ -122,14 +127,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for entry, payload in load_compressed_archive(args.archive):
         if not isinstance(payload, sparse_format.CompressedNM):
             continue
-        inner = payload.matrix_shape[1]
+        shape = payload.matrix_shape
         for cols in sizes:
-            x = rng.uniform(-1.0, 1.0, size=(inner, cols))
+            x = rng.uniform(-1.0, 1.0, size=(shape[1], cols))
             report = sparse_format.bench(payload, x, repetitions=args.reps)
             rows.append(
                 [
                     entry["name"],
-                    f"{report.matrix_shape[0]}x{report.matrix_shape[1]}",
+                    f"{shape[0]}x{shape[1]}",
                     str(cols),
                     f"{report.csr_seconds * 1e3:.3f}",
                     f"{report.dense_seconds * 1e3:.3f}",

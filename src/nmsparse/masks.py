@@ -4,9 +4,9 @@ A hard mask zeroes the m-n smallest-magnitude entries of each selected
 block; blocks are selected by l1 norm until a fraction delta of them is
 sparsified. On top of the hard mask, each surviving weight is scored along
 the filter axis and the kernel axis with a sigmoid of its distance to a
-magnitude threshold, and the soft mask is b * (1 + filter_score +
-kernel_score), so kept entries live in the open interval (1, 3). Folding
-multiplies the weights by the soft mask, which preserves the N:M support.
+magnitude threshold. The soft mask is the (g, m) f64 block-layout array
+b * (1 + filter_score + kernel_score), so kept entries lie in (1, 3);
+folding multiplies the weights by it, which preserves the N:M support.
 
 Tie-breaking is everywhere "lowest index wins", so masks are
 bit-reproducible across runs. Within a block, each entry's
@@ -86,29 +86,6 @@ class HardMask:
             raise DimensionError("mask bits must be 2D")
         self.bits = bits
 
-    @property
-    def g(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.bits.shape[1]
-
-
-@dataclass(eq=False)
-class SoftMask:
-    """Nonnegative (g, m) mask with the same support as its hard mask."""
-
-    values: np.ndarray
-
-    @property
-    def g(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class ImportanceParams:
@@ -171,8 +148,6 @@ def select_sparsify_blocks(
     count = math.ceil(norms.size * delta)
     if count == 0:
         return np.empty(0, dtype=np.int64)
-    if count == norms.size:
-        return np.arange(count, dtype=np.int64)
     keys = -norms if ordering == "l1_descending" else norms
     boundary = np.partition(keys, count - 1)[count - 1]
     chosen = keys < boundary
@@ -200,8 +175,7 @@ def hard_mask(
         return HardMask(_keep_bits(bm.values, drop))
     chosen = select_sparsify_blocks(block_l1_norms(bm), delta, ordering)
     bits = np.ones((bm.g, bm.m), dtype=np.uint8)
-    if chosen.size:
-        bits[chosen] = _keep_bits(bm.values[chosen], drop)
+    bits[chosen] = _keep_bits(bm.values[chosen], drop)
     return HardMask(bits)
 
 
@@ -293,25 +267,22 @@ def kernel_axis_scores(w: WeightTensor4, pattern: SparsePattern, tau: float) -> 
     return scores.reshape(w.k_h, w.k_w, w.c_out, w.c_in).transpose(2, 3, 0, 1)
 
 
-def soft_mask(hard: HardMask, sf: np.ndarray, sk: np.ndarray) -> SoftMask:
-    """Combine b * (1 + filter scores + kernel scores) in block layout."""
+def soft_mask(hard: HardMask, sf: np.ndarray, sk: np.ndarray) -> np.ndarray:
+    """The (g, m) f64 soft mask b * (1 + filter scores + kernel scores) in block layout."""
     if sf.shape != sk.shape:
         raise DimensionError(f"axis score shapes differ: {sf.shape} vs {sk.shape}")
-    if sf.size != hard.g * hard.m:
-        raise DimensionError(
-            f"axis scores hold {sf.size} entries, mask needs {hard.g * hard.m}"
-        )
-    filt = block_layout(sf, hard.m)
-    kern = block_layout(sk, hard.m)
-    values = np.add(filt, 1.0)
-    values += kern
-    values *= hard.bits
-    return SoftMask(values)
+    if sf.size != hard.bits.size:
+        raise DimensionError(f"axis scores hold {sf.size} entries, mask needs {hard.bits.size}")
+    m = hard.bits.shape[1]
+    soft = np.add(block_layout(sf, m), 1.0)
+    soft += block_layout(sk, m)
+    soft *= hard.bits
+    return soft
 
 
-def fold(weight: np.ndarray, soft: SoftMask) -> np.ndarray:
-    """weight * soft mask in the 4D weight layout; support shrinks to the mask's."""
-    return weight * block_layout_inverse(soft.values, weight.shape)
+def fold(weight: np.ndarray, soft: np.ndarray) -> np.ndarray:
+    """weight * the (g, m) soft mask in the 4D weight layout; support shrinks to the mask's."""
+    return weight * block_layout_inverse(soft, weight.shape)
 
 
 def build_masks(
@@ -321,7 +292,7 @@ def build_masks(
     delta: float,
     ordering: str = "l1_descending",
     mode: str = "block_percentage",
-) -> tuple[HardMask, SoftMask]:
+) -> tuple[HardMask, np.ndarray]:
     """One full mask pass for a layer: hard mask, both axis queries, soft mask."""
     bm = rearrange_to_blocks(w, pattern.m)
     if mode == "block_width":

@@ -150,10 +150,12 @@ class CompressedNM:
     def operator(self) -> np.ndarray:
         """The dense (c_out, c_in*k_h*k_w) f64 matrix that :func:`spmm` multiplies by, built on first use.
 
-        The cache assumes values and indices are not modified afterwards.
+        Built without :class:`WeightTensor4`'s finiteness check: a stored NaN or
+        Inf propagates into the product instead of raising. The cache assumes
+        values and indices are not modified afterwards.
         """
         if self._operator is None:
-            self._operator = _dense_matrix(self)
+            self._operator = np.ascontiguousarray(_decompressed(self)).reshape(self.matrix_shape)
         return self._operator
 
     def to_bytes(self) -> bytes:
@@ -239,7 +241,7 @@ def decompress(c: CompressedNM) -> WeightTensor4:
 def _csr_matrix(c: CompressedNM) -> sparse.csr_matrix:
     """The (c_out, c_in*k_h*k_w) matrix view in CSR form, holding every stored slot.
 
-    :func:`bench` times it against the dense matrix that :func:`spmm` uses.
+    :func:`bench` times it against :meth:`CompressedNM.operator`.
     """
     n, m = c.pattern.n, c.pattern.m
     c_out, c_in, k_h, k_w = c.origin_dims
@@ -254,30 +256,13 @@ def _csr_matrix(c: CompressedNM) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, cols.ravel(), indptr), shape=c.matrix_shape)
 
 
-def _dense_matrix(c: CompressedNM) -> np.ndarray:
-    """The (c_out, c_in*k_h*k_w) matrix view as a C-contiguous f64 array.
-
-    Built without :class:`WeightTensor4`'s finiteness check: a stored NaN or
-    Inf propagates into the product, as it does through CSR, instead of raising.
-    """
-    return np.ascontiguousarray(_decompressed(c)).reshape(c.matrix_shape)
-
-
 def spmm(c: CompressedNM, x: np.ndarray) -> np.ndarray:
     """Multiply the compressed tensor, viewed as (c_out, c_in*k_h*k_w), by x.
 
     The product is a dense f64 GEMM through the tensor's cached
-    :meth:`CompressedNM.operator`. On CPU it beats a scipy CSR product at
-    every n/m >= 1/4 and ties at 1:8 and 2:16; CSR wins only near 1:16, where
-    it also holds about a tenth of the dense matrix's memory. Medians of 30
-    calls, CSR / dense in ms (2-core Intel Xeon, one BLAS thread, numpy 2.4.6,
-    scipy 1.17.1):
-
-    | shape x cols | 2:4 | 1:4 | 1:8 | 2:16 | 1:16 |
-    |---|---|---|---|---|---|
-    | 1024x1024 x 64 | 11.09 / 3.16 | 6.25 / 3.20 | 2.76 / 2.61 | 2.55 / 2.68 | 1.28 / 2.70 |
-    | 256x256 x 64 | 0.593 / 0.144 | 0.291 / 0.144 | 0.147 / 0.148 | 0.146 / 0.175 | 0.083 / 0.144 |
-    | 128x64x3x3 x 1024 | 19.7 / 2.74 | 9.21 / 2.84 | 3.45 / 2.45 | 4.03 / 2.32 | 1.84 / 3.04 |
+    :meth:`CompressedNM.operator` at every pattern: without N:M hardware
+    support, a BLAS GEMM beats a scipy CSR product of the stored slots
+    wherever n/m >= 1/4 (the README's kernel table has the measurements).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
@@ -304,7 +289,6 @@ def conv2d_sparse(
 
 @dataclass(frozen=True)
 class ComplianceReport:
-    pattern: SparsePattern
     blocks: int
     violating_blocks: int
     sparsity: float
@@ -314,7 +298,6 @@ def verify(w: WeightTensor4, pattern: SparsePattern) -> ComplianceReport:
     """Count blocks carrying more than n nonzeros; report achieved sparsity."""
     _, counts = _block_nonzeros(block_layout(w.values, pattern.m))
     return ComplianceReport(
-        pattern=pattern,
         blocks=counts.size,
         violating_blocks=int((counts > pattern.n).sum()),
         sparsity=(w.values.size - int(counts.sum())) / w.values.size,
@@ -323,7 +306,6 @@ def verify(w: WeightTensor4, pattern: SparsePattern) -> ComplianceReport:
 
 @dataclass(frozen=True)
 class BenchReport:
-    matrix_shape: tuple[int, int]
     csr_seconds: float
     dense_seconds: float
     flop_reduction: float
@@ -344,8 +326,7 @@ def bench(c: CompressedNM, x: np.ndarray, repetitions: int = 5) -> BenchReport:
         raise ValueError("need at least one repetition")
     x = np.asarray(x, dtype=np.float64)
     best = {}
-    for name, build in (("csr", _csr_matrix), ("dense", _dense_matrix)):
-        op = build(c)
+    for name, op in (("csr", _csr_matrix(c)), ("dense", c.operator())):
         op @ x  # warm up
         best[name] = min(_timed(lambda: op @ x) for _ in range(repetitions))
     rows, inner = c.matrix_shape
@@ -353,7 +334,6 @@ def bench(c: CompressedNM, x: np.ndarray, repetitions: int = 5) -> BenchReport:
     dense_flops = 2.0 * rows * inner * cols
     sparse_flops = 2.0 * c.g * c.pattern.n * cols
     return BenchReport(
-        matrix_shape=c.matrix_shape,
         csr_seconds=best["csr"],
         dense_seconds=best["dense"],
         flop_reduction=dense_flops / sparse_flops,

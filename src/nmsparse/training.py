@@ -29,7 +29,7 @@ import numpy as np
 
 from . import nn
 from .errors import DivergenceError, FieldError
-from .masks import HardMask, SoftMask, SparsePattern, build_masks, fold
+from .masks import HardMask, SparsePattern, build_masks, fold
 from .schedule import Schedule, delta as schedule_delta
 from .tensors import WeightTensor4, block_layout_inverse
 
@@ -119,7 +119,7 @@ def init_rng(seed: int) -> np.random.Generator:
 
 def compute_step_masks(
     model: nn.Model, config: TrainConfig, delta: float
-) -> dict[str, tuple[HardMask, SoftMask]]:
+) -> dict[str, tuple[HardMask, np.ndarray]]:
     """Rebuild hard and soft masks for every eligible layer from current weights."""
     if config.pattern is None:
         return {}
@@ -140,7 +140,7 @@ def compute_step_masks(
 
 
 def effective_weights(
-    model: nn.Model, masks: dict[str, tuple[HardMask, SoftMask]], pattern: Optional[SparsePattern]
+    model: nn.Model, masks: dict[str, tuple[HardMask, np.ndarray]], pattern: Optional[SparsePattern]
 ) -> list[np.ndarray]:
     """Soft-masked weights for eligible layers, raw weights elsewhere.
 
@@ -162,7 +162,7 @@ class ForwardCache:
 
 def masked_forward(
     model: nn.Model,
-    masks: dict[str, tuple[HardMask, SoftMask]],
+    masks: dict[str, tuple[HardMask, np.ndarray]],
     config: TrainConfig,
     x: np.ndarray,
     y: np.ndarray,
@@ -182,7 +182,7 @@ def ste_backward(model: nn.Model, cache: ForwardCache) -> tuple[list[np.ndarray]
 def sr_ste_step(
     model: nn.Model,
     grads: tuple[list[np.ndarray], list[np.ndarray]],
-    masks: dict[str, tuple[HardMask, SoftMask]],
+    masks: dict[str, tuple[HardMask, np.ndarray]],
     config: TrainConfig,
     lr: float,
     velocity: Velocity,
@@ -235,7 +235,7 @@ def fit(
     history = list(metrics) if metrics else []
     x_all, y_all = dataset.X, dataset.y
     n = len(y_all)
-    masks: dict[str, tuple[HardMask, SoftMask]] = {}
+    masks: dict[str, tuple[HardMask, np.ndarray]] = {}
     stop = config.epochs if stop_epoch is None else min(stop_epoch, config.epochs)
     for epoch in range(start_epoch, stop):
         d = schedule_delta(epoch, config.schedule) if config.pattern is not None else 0.0
@@ -287,7 +287,7 @@ def final_masks(model: nn.Model, config: TrainConfig, epoch: Optional[int] = Non
 
 
 def export_folded(
-    model: nn.Model, masks: dict[str, tuple[HardMask, SoftMask]]
+    model: nn.Model, masks: dict[str, tuple[HardMask, np.ndarray]]
 ) -> dict[str, WeightTensor4]:
     """Folded (soft-masked) weights per eligible layer; dense layers verbatim."""
     return {
@@ -300,7 +300,7 @@ def export_folded(
 
 def evaluate(
     model: nn.Model,
-    masks: dict[str, tuple[HardMask, SoftMask]],
+    masks: dict[str, tuple[HardMask, np.ndarray]],
     config: TrainConfig,
     x: np.ndarray,
     y: np.ndarray,

@@ -252,6 +252,42 @@ def test_layer_arrays_of_the_wrong_shape_are_rejected_at_load(tmp_path, capsys, 
     assert re.fullmatch(r"error: [^\n]*\n", err) and str(path) in err
 
 
+@pytest.mark.parametrize("array", ["nan weight", "inf momentum"])
+def test_non_finite_layer_arrays_are_rejected_at_load(tmp_path, capsys, array):
+    ckpt = _golden_checkpoint()
+    if array == "nan weight":
+        ckpt.model.layers[1].weight[0, 1, 0, 0] = np.nan
+    else:
+        ckpt.velocity.w[0][2, 0, 1, 1] = np.inf
+    path = tmp_path / "bad.maxq"
+    save_checkpoint(path, ckpt)
+    with pytest.raises(ValueError, match="NaN or Inf") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(ckpt.config.to_json())
+    for argv in (["train", "--config", str(cfg), "--resume", str(path)],
+                 ["fold", "--ckpt", str(path), "--out", str(tmp_path / "folded.npz")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]*\n", err) and str(path) in err
+
+
+def test_resuming_a_finished_checkpoint_without_metrics_is_one_error(tmp_path, capsys):
+    config = run_config(tmp_path)
+    model = runner.build_model(config, datasets.build(config.dataset))
+    path = tmp_path / "finished.maxq"
+    save_checkpoint(path, Checkpoint(config, config.trainer.epochs, 0, model, Velocity.zeros_like(model), ""))
+    with pytest.raises(ValueError, match="0 metrics rows for 6 completed epochs") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config.to_json())
+    assert main(["train", "--config", str(cfg), "--resume", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: [^\n]*\n", err) and str(path) in err
+
+
 @pytest.mark.parametrize("layer, shape", [(2, (2, 16)), (1, (16, 16, 1))], ids=["2d_head", "3d_interior"])
 def test_layer_weight_that_is_not_4d_is_rejected_at_load(tmp_path, capsys, layer, shape):
     config = run_config(tmp_path)

@@ -291,12 +291,16 @@ def test_cli_malformed_config_is_one_error_line(case, run_dir, tmp_path, capsys)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sizes", ["0", "4,0", ""])
-def test_bench_rejects_column_counts_below_one(sizes, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--sizes", "0"), ("--sizes", "4,0"), ("--sizes", ""), ("--sizes", "4,x"), ("--reps", "0")],
+    ids=["0", "4,0", "", "4,x", "reps-0"],
+)
+def test_bench_rejects_column_counts_below_one(flag, value, tmp_path, capsys):
     weight = np.array([[1.0, 0.0, -2.0, 0.0], [0.0, 3.0, 0.0, 4.0]]).reshape(2, 4, 1, 1)  # 2:4 compliant
     model = nn.Model([nn.Layer("linear", "fc0", weight, np.zeros(2), eligible=True)])
     path = tmp_path / "model.nmz"
     save_compressed_archive(path, as_folded(model, None), SparsePattern(2, 4))
-    assert main(["bench", "--archive", str(path), "--sizes", sizes]) == 2
+    assert main(["bench", "--archive", str(path), flag, value]) == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: [^\n]*--sizes[^\n]*\n", err)
+    assert re.fullmatch(rf"error: [^\n]*{flag}[^\n]*\n", err)

@@ -481,15 +481,15 @@ def test_soft_mask_annihilated_by_hard_zeros():
     w = WeightTensor4(rng.normal(size=(2, 4, 1, 1)))
     pattern = SparsePattern(1, 4)
     hard, soft = build_masks(w, pattern, 0.1, delta=1.0)
-    assert (soft.values[hard.bits == 0] == 0.0).all()
-    assert ((soft.values > 1.0) & (soft.values < 3.0))[hard.bits == 1].all()
+    assert (soft[hard.bits == 0] == 0.0).all()
+    assert ((soft > 1.0) & (soft < 3.0))[hard.bits == 1].all()
 
 
 def test_soft_mask_value_two_when_scores_are_half():
     w = WeightTensor4(np.full((2, 4, 1, 1), 0.5))
     pattern = SparsePattern(2, 4)
     hard, soft = build_masks(w, pattern, 0.1, delta=0.0)
-    np.testing.assert_array_equal(soft.values, 2.0)
+    np.testing.assert_array_equal(soft, 2.0)
 
 
 def test_soft_mask_matches_scalar_loop_oracle():
@@ -499,7 +499,7 @@ def test_soft_mask_matches_scalar_loop_oracle():
     tau = 0.1
     hard, soft = build_masks(w, pattern, tau, delta=0.7)
     expected = soft_mask_loop_oracle(w.values, hard.bits, pattern, tau)
-    np.testing.assert_allclose(soft.values, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(soft, expected, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("dims", [(8, 16, 1, 1), (4, 8, 3, 3)])
@@ -514,7 +514,7 @@ def test_soft_mask_leaves_its_inputs_unchanged(dims):
     soft = soft_mask(hard, sf, sk)
     for after, saved in zip((sf, sk, hard.bits), before):
         np.testing.assert_array_equal(after, saved)
-    assert not any(np.shares_memory(soft.values, a) for a in (sf, sk, hard.bits))
+    assert not any(np.shares_memory(soft, a) for a in (sf, sk, hard.bits))
 
 
 def test_soft_mask_shape_mismatch_raises():
@@ -537,9 +537,7 @@ def test_fold_with_binary_mask_is_magnitude_pruning():
     vals = rng.normal(size=(2, 8, 2, 2))
     pattern = SparsePattern(2, 4)
     hard = hard_mask(rearrange_to_blocks(WeightTensor4(vals), 4), pattern, 1.0)
-    from nmsparse.masks import SoftMask
-
-    folded = fold(vals, SoftMask(hard.bits.astype(np.float64)))
+    folded = fold(vals, hard.bits.astype(np.float64))
     np.testing.assert_array_equal(block_layout(folded, 4), block_layout(vals, 4) * hard.bits)
     assert ((block_layout(folded, 4) != 0).sum(axis=1) <= 2).all()
 
@@ -563,7 +561,7 @@ def test_build_masks_bit_identical_across_runs():
     out = []
     for _ in range(2):
         hard, soft = build_masks(WeightTensor4(vals.copy()), SparsePattern(2, 8), 0.1, delta=0.42)
-        out.append((hard.bits.copy(), soft.values.copy()))
+        out.append((hard.bits.copy(), soft.copy()))
     np.testing.assert_array_equal(out[0][0], out[1][0])
     np.testing.assert_array_equal(out[0][1], out[1][1])
 
@@ -661,7 +659,7 @@ def test_hard_mask_top_width_matches_stable_argsort_on_ties(values, data):
 # --------------------------------------------------------- golden digests
 
 GOLDEN_MASK_DIGESTS = {
-    # name: (dims, pattern, delta, mode, SHA-256 of hard.bits + soft.values)
+    # name: (dims, pattern, delta, mode, SHA-256 of hard.bits + soft)
     "256x256_2of4_d0": (
         (256, 256, 1, 1), SparsePattern(2, 4), 0.0, "block_percentage",
         "9738da0219c00f3289e9527676f2909045587b8059a1269acffab7745b025655",
@@ -696,4 +694,4 @@ def test_build_masks_golden_digests(seed, name):
     dims, pattern, delta, mode, digest = GOLDEN_MASK_DIGESTS[name]
     w = WeightTensor4(np.random.default_rng([18, seed]).normal(size=dims))
     hard, soft = build_masks(w, pattern, 0.1, delta, mode=mode)
-    assert hashlib.sha256(hard.bits.tobytes() + soft.values.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(hard.bits.tobytes() + soft.tobytes()).hexdigest() == digest

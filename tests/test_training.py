@@ -53,12 +53,12 @@ def test_masked_forward_delta_zero_uses_soft_weighted_dense_net():
             hard, soft = masks[layer.name]
             assert hard.bits.all()
             eff = np.empty_like(layer.weight)
-            m = soft.m
+            m = soft.shape[1]
             c_out, c_in = layer.weight.shape[:2]
             for o in range(c_out):
                 for c in range(c_in):
                     g = o * (c_in // m) + c // m
-                    eff[o, c, 0, 0] = layer.weight[o, c, 0, 0] * soft.values[g, c % m]
+                    eff[o, c, 0, 0] = layer.weight[o, c, 0, 0] * soft[g, c % m]
             weights.append(eff)
         else:
             weights.append(layer.weight)
@@ -87,7 +87,7 @@ def test_fold_equivalence_masked_vs_folded_logits():
 
 def unit_soft_masks(model, pattern):
     """Masks whose soft values are all exactly 1 (hard all ones, scores zeroed)."""
-    from nmsparse.masks import HardMask, SoftMask
+    from nmsparse.masks import HardMask
     from nmsparse.tensors import rearrange_to_blocks
 
     masks = {}
@@ -98,7 +98,7 @@ def unit_soft_masks(model, pattern):
         bits = np.ones((bm.g, bm.m), dtype=np.uint8)
         masks[layer.name] = (
             HardMask(bits),
-            SoftMask(np.ones((bm.g, bm.m))),
+            np.ones((bm.g, bm.m)),
         )
     return masks
 
@@ -147,7 +147,7 @@ def test_ste_delivers_effective_weight_gradient_at_pruned_coordinates():
     zero_rows, zero_cols = np.nonzero(hard.bits == 0)
     assert zero_rows.size > 0
     g, j = zero_rows[0], zero_cols[0]
-    m = hard.m
+    m = hard.bits.shape[1]
     c_in = layer.weight.shape[1]
     o, c = divmod(g * m + j, c_in)  # 1x1 kernels: block row maps back directly
 
@@ -202,7 +202,7 @@ def test_kept_coordinate_with_saturated_soft_value_gets_no_extra_decay():
     layer = model.layers[1]
     masks = training.compute_step_masks(model, cfg, 1.0)
     hard, soft = masks[layer.name]
-    assert (soft.values[hard.bits == 1] > 1.0).all()  # saturates the clip
+    assert (soft[hard.bits == 1] > 1.0).all()  # saturates the clip
     kept = block_layout_inverse((hard.bits == 1).astype(np.float64), layer.weight.shape) == 1.0
     before = layer.weight[kept].copy()
     zero_grads = ([np.zeros_like(l.weight) for l in model.layers], [np.zeros_like(l.bias) for l in model.layers])
@@ -351,8 +351,8 @@ def test_sr_ste_step_matches_clipped_soft_interpolation_bit_for_bit():
             coeff = cfg.weight_decay
             if layer.name in masks:
                 hard, soft = masks[layer.name]
-                np.testing.assert_array_equal(np.clip(soft.values, 0.0, 1.0), hard.bits)
-                gate = block_layout_inverse(np.clip(soft.values, 0.0, 1.0), layer.weight.shape)
+                np.testing.assert_array_equal(np.clip(soft, 0.0, 1.0), hard.bits)
+                gate = block_layout_inverse(np.clip(soft, 0.0, 1.0), layer.weight.shape)
                 coeff = cfg.weight_decay * gate + cfg.sr_weight * (1.0 - gate)
             v = cfg.momentum * velocity.w[i] + (grads_w[i] + coeff * layer.weight)
             expected_v.append(v)
