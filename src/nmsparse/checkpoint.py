@@ -2,9 +2,10 @@
 
 Layout (little-endian): magic ``MAXQCKPT``, version u16, section count u32,
 then length-prefixed sections, each a 4-byte tag + u64 payload length.
-Sections: CFG (config JSON), CTR (epoch + iteration), LYR (layer states with
-finite f64 weights, biases, and momentum buffers), MET (metrics CSV text,
-one row per completed epoch).
+Sections: CFG (config JSON), CTR (epoch + iteration, at most the configured
+epochs), LYR (layer states with finite f64 weights, biases, and momentum
+buffers), MET (metrics CSV text: a header of ``training.metrics_header``
+columns, in its order, and one row per completed epoch).
 
 Reloading a checkpoint and resuming reproduces the bit-identical remainder
 of the run for the same seed: epoch shuffles are derived from (seed, epoch)
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import nn
 from .config import RunConfig
-from .training import Velocity, parse_metrics_csv
+from .training import Velocity, metrics_header, parse_metrics_csv
 
 MAGIC = b"MAXQCKPT"
 VERSION = 1
@@ -193,9 +194,14 @@ def _parse_checkpoint(blob: bytes) -> Checkpoint:
     epoch, iteration = struct.unpack_from("<QQ", sections[b"CTR\x00"], 0)
     model, velocity = _parse_layers(sections[b"LYR\x00"])
     metrics_csv = bytes(sections[b"MET\x00"]).decode()
-    rows = len(parse_metrics_csv(metrics_csv))
-    if rows != epoch:
-        raise ValueError(f"{rows} metrics rows for {epoch} completed epochs")
+    rows = parse_metrics_csv(metrics_csv)
+    if len(rows) != epoch:
+        raise ValueError(f"{len(rows)} metrics rows for {epoch} completed epochs")
+    if epoch > config.trainer.epochs:
+        raise ValueError(f"{epoch} completed epochs exceed trainer.epochs {config.trainer.epochs}")
+    header = metrics_header(model)
+    if rows and list(rows[0]) != [c for c in header if c in rows[0]]:
+        raise ValueError(f"metrics header {','.join(rows[0])} is not drawn in order from {','.join(header)}")
     return Checkpoint(
         config=config,
         epoch=int(epoch),

@@ -7,6 +7,7 @@ diverging ``train`` exits 3, each with a one-line ``error:`` message.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -45,7 +46,7 @@ def _write_csv(path: str, headers: list[str], rows: list[list[str]]) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = RunConfig.from_file(args.config)
+    config = None if args.config is None else RunConfig.from_file(args.config)
     # a diverging run overflows before fit sees the non-finite loss and raises
     with np.errstate(over="ignore", invalid="ignore"):
         result, out_dir = runner.run_training(
@@ -56,7 +57,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 f"loss {row['loss']:.5f}  acc {row['accuracy']:.4f}"
             ),
         )
-    final = result.metrics[-1]
+    final = {"loss": math.nan, "accuracy": math.nan, **result.metrics[-1]}  # a resumed header may lack either
     print(f"\nfinal loss {final['loss']:.5f}, accuracy {final['accuracy']:.4f}")
     print(f"checkpoint: {out_dir / 'checkpoint.maxq'}")
     print(f"metrics:    {out_dir / 'metrics.csv'}")
@@ -169,9 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train a model from a JSON run config")
-    p.add_argument("--config", required=True, help="path to the run-configuration JSON")
-    p.add_argument("--resume", default=None, help="checkpoint to resume from")
+    p = sub.add_parser("train", help="train a model from a JSON run config, or resume a checkpoint")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="path to the run-configuration JSON")
+    source.add_argument("--resume", help="checkpoint to resume, under the config it stores")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("fold", help="fold soft masks into weights and archive them")

@@ -18,7 +18,7 @@ class PatternViolationError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, weight or bias."""
 
     def __init__(self, epoch: int, iteration: int):
         super().__init__(f"non-finite loss at epoch {epoch}, iteration {iteration}")

@@ -125,11 +125,12 @@ def arg_bottom_per_block(bm: BlockMatrix, pattern: SparsePattern) -> np.ndarray:
 
     Ties go to the lowest column index.
     """
-    if bm.m != pattern.m:
-        raise DimensionError(f"block width {bm.m} does not match pattern {pattern}")
+    g, m = bm.values.shape
+    if m != pattern.m:
+        raise DimensionError(f"block width {m} does not match pattern {pattern}")
     drop = pattern.m - pattern.n
     bottom = _keep_bits(bm.values, drop) == 0
-    return np.nonzero(bottom)[1].reshape(bm.g, drop)
+    return np.nonzero(bottom)[1].reshape(g, drop)
 
 
 def select_sparsify_blocks(
@@ -168,25 +169,23 @@ def hard_mask(
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
-    if bm.m != pattern.m:
-        raise DimensionError(f"block width {bm.m} does not match pattern {pattern}")
+    if bm.values.shape[1] != pattern.m:
+        raise DimensionError(f"block width {bm.values.shape[1]} does not match pattern {pattern}")
     drop = pattern.m - pattern.n
     if delta == 1.0:
         return HardMask(_keep_bits(bm.values, drop))
     chosen = select_sparsify_blocks(block_l1_norms(bm), delta, ordering)
-    bits = np.ones((bm.g, bm.m), dtype=np.uint8)
+    bits = np.ones(bm.values.shape, dtype=np.uint8)
     bits[chosen] = _keep_bits(bm.values[chosen], drop)
     return HardMask(bits)
 
 
 def hard_mask_top_width(bm: BlockMatrix, kept: int) -> HardMask:
     """Width-ramp variant: every block keeps its ``kept`` largest magnitudes."""
-    if not 1 <= kept <= bm.m:
-        raise DimensionError(f"kept width {kept} out of range for m={bm.m}")
-    drop = bm.m - kept
-    if drop == 0:
-        return HardMask(np.ones((bm.g, bm.m), dtype=np.uint8))
-    return HardMask(_keep_bits(bm.values, drop))
+    m = bm.values.shape[1]
+    if not 1 <= kept <= m:
+        raise DimensionError(f"kept width {kept} out of range for m={m}")
+    return HardMask(_keep_bits(bm.values, m - kept))
 
 
 def kept_width_from_delta(delta: float, pattern: SparsePattern) -> int:
@@ -251,20 +250,22 @@ def importance_scores(v: np.ndarray, params: ImportanceParams) -> np.ndarray:
 
 def filter_axis_scores(w: WeightTensor4, pattern: SparsePattern, tau: float) -> np.ndarray:
     """Importance of every weight within its output filter's flattened slice."""
-    if w.c_in % pattern.m != 0:
-        raise DimensionError(f"pattern {pattern} does not divide c_in={w.c_in}")
-    mags = np.abs(w.values).reshape(w.c_out, -1)
+    c_out, c_in, _, _ = w.dims
+    if c_in % pattern.m != 0:
+        raise DimensionError(f"pattern {pattern} does not divide c_in={c_in}")
+    mags = np.abs(w.values).reshape(c_out, -1)
     return _row_scores(mags, pattern.sparse_rate, tau).reshape(w.dims)
 
 
 def kernel_axis_scores(w: WeightTensor4, pattern: SparsePattern, tau: float) -> np.ndarray:
     """Importance of every weight within its spatial kernel position's slice."""
-    if w.c_in % pattern.m != 0:
-        raise DimensionError(f"pattern {pattern} does not divide c_in={w.c_in}")
+    c_out, c_in, k_h, k_w = w.dims
+    if c_in % pattern.m != 0:
+        raise DimensionError(f"pattern {pattern} does not divide c_in={c_in}")
     # group (k1, k2): one vector of length c_out*c_in per kernel position
-    mags = np.abs(w.values.transpose(2, 3, 0, 1), order="C").reshape(w.k_h * w.k_w, -1)
+    mags = np.abs(w.values.transpose(2, 3, 0, 1), order="C").reshape(k_h * k_w, -1)
     scores = _row_scores(mags, pattern.sparse_rate, tau)
-    return scores.reshape(w.k_h, w.k_w, w.c_out, w.c_in).transpose(2, 3, 0, 1)
+    return scores.reshape(k_h, k_w, c_out, c_in).transpose(2, 3, 0, 1)
 
 
 def soft_mask(hard: HardMask, sf: np.ndarray, sk: np.ndarray) -> np.ndarray:

@@ -24,11 +24,12 @@ def build_model(config: RunConfig, dataset: datasets.Dataset) -> nn.Model:
 
 
 def run_training(
-    config: RunConfig, resume_from: str | Path | None = None, log=None
+    config: RunConfig | None, resume_from: str | Path | None = None, log=None
 ) -> tuple[training.FitResult, Path]:
     """Train (or resume) a run; write checkpoint + metrics CSV into out_dir.
 
-    A fresh run trains like a resume from an untrained model at epoch 0.
+    A resume reads its config from the checkpoint and ignores ``config``. A
+    fresh run trains like a resume from an untrained model at epoch 0.
     """
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
@@ -64,7 +65,6 @@ def fold_checkpoint(ckpt: Checkpoint) -> FoldedModel:
     train_cfg = ckpt.config.to_train_config()
     model = ckpt.model
     model.mark_eligibility(train_cfg.pattern)
-    epoch = min(ckpt.epoch, train_cfg.epochs) - 1
-    folded = training.export_folded(model, training.final_masks(model, train_cfg, epoch=max(epoch, 0)))
+    folded = training.export_folded(model, training.final_masks(model, train_cfg, epoch=max(ckpt.epoch - 1, 0)))
     layers = [FoldedLayer(l.name, l.kind, folded[l.name], l.bias, l.eligible, l.stride, l.padding) for l in model.layers]
     return FoldedModel(layers, train_cfg.pattern)

@@ -134,13 +134,9 @@ class CompressedNM:
         return self.values.shape[0]
 
     @property
-    def index_bits(self) -> int:
-        return _index_bits(self.pattern.m)
-
-    @property
     def metadata_bits(self) -> int:
         """Logical index metadata size: g * n * ceil(log2 m) bits."""
-        return self.g * self.pattern.n * self.index_bits
+        return self.g * self.pattern.n * _index_bits(self.pattern.m)
 
     @property
     def matrix_shape(self) -> tuple[int, int]:
@@ -160,7 +156,7 @@ class CompressedNM:
 
     def to_bytes(self) -> bytes:
         n, m = self.pattern.n, self.pattern.m
-        packed = _pack_indices(self.indices, self.index_bits)
+        packed = _pack_indices(self.indices, _index_bits(m))
         block_bytes = 4 * n + packed.shape[1]
         out = np.empty(_HEADER.size + self.g * block_bytes, dtype=np.uint8)
         _HEADER.pack_into(out, 0, MAGIC, VERSION, n, m, *self.origin_dims, self.g)

@@ -67,22 +67,6 @@ class WeightTensor4:
     def dims(self) -> Dims4:
         return tuple(self.values.shape)  # type: ignore[return-value]
 
-    @property
-    def c_out(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def c_in(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def k_h(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def k_w(self) -> int:
-        return self.values.shape[3]
-
 
 @dataclass(frozen=True, eq=False)
 class BlockMatrix:
@@ -101,14 +85,6 @@ class BlockMatrix:
             )
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "origin_dims", tuple(int(d) for d in self.origin_dims))
-
-    @property
-    def g(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
 
 
 def rearrange_to_blocks(w: WeightTensor4, m: int) -> BlockMatrix:

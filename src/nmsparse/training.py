@@ -228,9 +228,11 @@ def fit(
 
     Every epoch evaluates the schedule once, then every minibatch rebuilds
     masks, runs masked forward/backward, and applies the sparse-refined
-    update. Raises DivergenceError on a non-finite loss.
+    update. Raises DivergenceError on a non-finite loss, or on weights or
+    biases that a step leaves non-finite, the last step included.
     """
     model.mark_eligibility(config.pattern)
+    header = metrics_header(model)
     velocity = velocity if velocity is not None else Velocity.zeros_like(model)
     history = list(metrics) if metrics else []
     x_all, y_all = dataset.X, dataset.y
@@ -246,31 +248,19 @@ def fit(
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
             xb, yb = x_all[batch_idx], y_all[batch_idx]
-            if not all(np.isfinite(l.weight).all() for l in model.layers):
-                raise DivergenceError(epoch, iteration)
             masks = compute_step_masks(model, config, d)
             loss, cache = masked_forward(model, masks, config, xb, yb)
             if not math.isfinite(loss):
                 raise DivergenceError(epoch, iteration)
             grads = ste_backward(model, cache)
             sr_ste_step(model, grads, masks, config, lr, velocity)
+            if not all(np.isfinite(l.weight).all() and np.isfinite(l.bias).all() for l in model.layers):
+                raise DivergenceError(epoch, iteration)
             loss_sum += loss * len(yb)
             correct += int((nn.predict(cache.logits) == yb).sum())
             iteration += 1
-        row = {
-            "epoch": epoch,
-            "delta": d,
-            "lr": lr,
-            "loss": loss_sum / n,
-            "accuracy": correct / n,
-        }
-        for layer in model.layers:
-            if layer.name in masks:
-                hard, _ = masks[layer.name]
-                sparsity = float((hard.bits == 0).mean())
-            else:
-                sparsity = 0.0
-            row[f"sparsity_{layer.name}"] = sparsity
+        sparsity = [float((masks[l.name][0].bits == 0).mean()) if l.name in masks else 0.0 for l in model.layers]
+        row = dict(zip(header, [epoch, d, lr, loss_sum / n, correct / n, *sparsity]))
         history.append(row)
         if log is not None:
             log(row)
@@ -289,12 +279,10 @@ def final_masks(model: nn.Model, config: TrainConfig, epoch: Optional[int] = Non
 def export_folded(
     model: nn.Model, masks: dict[str, tuple[HardMask, np.ndarray]]
 ) -> dict[str, WeightTensor4]:
-    """Folded (soft-masked) weights per eligible layer; dense layers verbatim."""
+    """Folded (soft-masked) weights per eligible layer; copies of the dense layers' weights."""
     return {
-        layer.name: WeightTensor4(
-            fold(layer.weight, masks[layer.name][1]) if layer.name in masks else layer.weight.copy()
-        )
-        for layer in model.layers
+        layer.name: WeightTensor4(w if layer.name in masks else w.copy())
+        for layer, w in zip(model.layers, effective_weights(model, masks, None))
     }
 
 
@@ -319,23 +307,18 @@ def evaluate(
     return loss_sum / len(y), correct / len(y)
 
 
-METRIC_BASE_COLUMNS = ("epoch", "delta", "lr", "loss", "accuracy")
-
-
-def metrics_columns(rows: list[dict]) -> list[str]:
-    cols = list(METRIC_BASE_COLUMNS)
-    if rows:
-        cols += [k for k in rows[0] if k not in METRIC_BASE_COLUMNS]
-    return cols
+def metrics_header(model: nn.Model) -> list[str]:
+    """The columns of the rows ``fit`` records, one row per epoch."""
+    return ["epoch", "delta", "lr", "loss", "accuracy", *(f"sparsity_{l.name}" for l in model.layers)]
 
 
 def metrics_to_csv(rows: list[dict]) -> str:
-    """Deterministic CSV serialization (full-precision float repr)."""
-    cols = metrics_columns(rows)
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols))
-    return "\n".join(lines) + "\n"
+    """Deterministic CSV under the first row's keys; ``str`` of a float is its full-precision repr."""
+    if not rows:
+        return ""
+    cols = list(rows[0])
+    lines = [cols, *([row[c] for c in cols] for row in rows)]
+    return "".join(",".join(map(str, line)) + "\n" for line in lines)
 
 
 def parse_metrics_csv(text: str) -> list[dict]:
@@ -343,11 +326,12 @@ def parse_metrics_csv(text: str) -> list[dict]:
     if not lines:
         return []
     cols = lines[0].split(",")
+    if len(set(cols)) != len(cols):
+        raise ValueError(f"metrics header {lines[0]} repeats a column")
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], 2):
         values = line.split(",")
-        row: dict = {}
-        for col, val in zip(cols, values):
-            row[col] = int(val) if col == "epoch" else float(val)
-        rows.append(row)
+        if len(values) != len(cols):
+            raise ValueError(f"metrics line {number} has {len(values)} cells for {len(cols)} columns")
+        rows.append({col: int(val) if col == "epoch" else float(val) for col, val in zip(cols, values)})
     return rows

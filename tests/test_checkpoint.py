@@ -245,9 +245,7 @@ def test_layer_arrays_of_the_wrong_shape_are_rejected_at_load(tmp_path, capsys, 
     with pytest.raises(ValueError, match="do not match") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(ckpt.config.to_json())
-    assert main(["train", "--config", str(cfg), "--resume", str(path)]) == 2
+    assert main(["train", "--resume", str(path)]) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: [^\n]*\n", err) and str(path) in err
 
@@ -264,9 +262,7 @@ def test_non_finite_layer_arrays_are_rejected_at_load(tmp_path, capsys, array):
     with pytest.raises(ValueError, match="NaN or Inf") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(ckpt.config.to_json())
-    for argv in (["train", "--config", str(cfg), "--resume", str(path)],
+    for argv in (["train", "--resume", str(path)],
                  ["fold", "--ckpt", str(path), "--out", str(tmp_path / "folded.npz")]):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -281,11 +277,56 @@ def test_resuming_a_finished_checkpoint_without_metrics_is_one_error(tmp_path, c
     with pytest.raises(ValueError, match="0 metrics rows for 6 completed epochs") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(config.to_json())
-    assert main(["train", "--config", str(cfg), "--resume", str(path)]) == 2
+    assert main(["train", "--resume", str(path)]) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: [^\n]*\n", err) and str(path) in err
+
+
+def _metrics_lines(model: nn.Model, epochs: int) -> list[str]:
+    header = training.metrics_header(model)
+    rows = [dict(zip(header, [e, 0.0, 0.1, 0.5, 0.25, *[0.0] * len(model.layers)])) for e in range(epochs)]
+    return training.metrics_to_csv(rows).splitlines()
+
+
+# name -> (completed epochs, edit of the metrics CSV lines, what the error must say); the config trains 6 epochs
+BAD_COUNTERS_OR_METRICS = {
+    "epoch_past_trainer_epochs": (7, lambda lines: lines, "7 completed epochs exceed trainer.epochs 6"),
+    "short_row": (2, lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0]], "metrics line 3 has"),
+    "long_row": (2, lambda lines: [lines[0], lines[1] + ",1.0", lines[2]], "metrics line 2 has"),
+    "unknown_layer_column": (2, lambda lines: [lines[0].rsplit(",", 1)[0] + ",sparsity_zz", *lines[1:]], "sparsity_zz"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COUNTERS_OR_METRICS))
+def test_counters_and_metrics_unlike_the_run_are_rejected_at_load(tmp_path, capsys, case):
+    epochs, edit, named = BAD_COUNTERS_OR_METRICS[case]
+    config = run_config(tmp_path)
+    model = runner.build_model(config, datasets.build(config.dataset))
+    text = "\n".join(edit(_metrics_lines(model, epochs))) + "\n"
+    path = tmp_path / "bad.maxq"
+    save_checkpoint(path, Checkpoint(config, epochs, 0, model, Velocity.zeros_like(model), text))
+    with pytest.raises(ValueError, match=re.escape(named)) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+    for argv in (["train", "--resume", str(path)], ["fold", "--ckpt", str(path), "--out", str(tmp_path / "f.npz")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]*\n", err) and str(path) in err
+
+
+def test_metrics_that_keep_some_of_the_columns_resume_and_keep_them(tmp_path):
+    config = run_config(tmp_path)
+    model = runner.build_model(config, datasets.build(config.dataset))
+    lines = _metrics_lines(model, 2)
+    kept = [",".join(cells[0::3]) for cells in (line.split(",") for line in lines)]  # epoch, loss, ...
+    path = tmp_path / "narrow.maxq"
+    save_checkpoint(path, Checkpoint(config, 2, 0, model, Velocity.zeros_like(model), "\n".join(kept) + "\n"))
+    out = Path(config.out_dir)
+    assert main(["train", "--resume", str(path)]) == 0
+    rows = training.parse_metrics_csv((out / "metrics.csv").read_text())
+    assert [list(r) for r in rows] == [kept[0].split(",")] * 6
+    assert main(["train", "--resume", str(out / "checkpoint.maxq")]) == 0  # finished: no new row has accuracy
+    assert (out / "metrics.csv").read_text().count("\n") == 7
 
 
 @pytest.mark.parametrize("layer, shape", [(2, (2, 16)), (1, (16, 16, 1))], ids=["2d_head", "3d_interior"])
@@ -300,8 +341,6 @@ def test_layer_weight_that_is_not_4d_is_rejected_at_load(tmp_path, capsys, layer
     with pytest.raises(ValueError, match="4D") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(config.to_json())
-    assert main(["train", "--config", str(cfg), "--resume", str(path)]) == 2
+    assert main(["train", "--resume", str(path)]) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: [^\n]*\n", err) and str(path) in err

@@ -152,7 +152,7 @@ def test_resume_flag_round_trip(run_dir, tmp_path):
     cfg_path, out = run_dir
     assert main(["train", "--config", str(cfg_path)]) == 0
     first = (out / "metrics.csv").read_bytes()
-    assert main(["train", "--config", str(cfg_path), "--resume", str(out / "checkpoint.maxq")]) == 0
+    assert main(["train", "--resume", str(out / "checkpoint.maxq")]) == 0
     assert (out / "metrics.csv").read_bytes() == first
 
 
@@ -177,6 +177,30 @@ def test_cli_reports_divergence_with_exit_code_3(run_dir, capsys):
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: non-finite loss at epoch \d+, iteration \d+\n", err)
     assert not (out / "checkpoint.maxq").exists()
+
+
+def test_cli_reports_an_overflowing_last_step_with_exit_code_3(run_dir, capsys):
+    cfg_path, out = run_dir
+    doc = json.loads(cfg_path.read_text())
+    doc["trainer"].update(epochs=1, batch_size=256, learning_rate=10.0, weight_decay=1e308, lr_schedule="constant")
+    doc["schedule"]["t_f"] = 1
+    doc["dataset"]["samples"] = 200  # one step, whose update overflows the weights
+    cfg_path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["train", "--config", str(cfg_path)])
+    assert code == 3
+    assert re.fullmatch(r"error: non-finite loss at epoch 0, iteration 0\n", capsys.readouterr().err)
+    assert not (out / "checkpoint.maxq").exists()
+
+
+def test_train_takes_either_a_config_or_a_checkpoint(run_dir, capsys):
+    cfg_path, out = run_dir
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--config", str(cfg_path), "--resume", str(out / "checkpoint.maxq")])
+    assert info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _truncated_checkpoint(run_dir, tmp_path):
@@ -265,6 +289,8 @@ MALFORMED_CONFIGS = {
     "csv_short_row": lambda doc, tmp: _csv_dataset(doc, tmp, "x,y,label\n0.5,1.0,0\n0.25,1\n", "{path} line 3"),
     "csv_long_row": lambda doc, tmp: _csv_dataset(doc, tmp, "x,y,label\n0.5,1.0,0,7\n", "{path} line 2"),
     "csv_label_only": lambda doc, tmp: _csv_dataset(doc, tmp, "label\n0\n1\n", "at least 1"),
+    "csv_negative_label": lambda doc, tmp: _csv_dataset(doc, tmp, "x,y,label\n0.5,1.0,0\n0.5,1.0,-1\n", "nonnegative"),
+    "cnn_on_2d_data": lambda doc, _: (_set(doc, "trainer", "arch", "cnn"), "image-shaped"),
     "csv_text_feature": lambda doc, tmp: _csv_dataset(doc, tmp, "x,y,label\nabc,1.0,0\n", "{path} line 2 column 'x'"),
     "csv_fractional_label": lambda doc, tmp: _csv_dataset(
         doc, tmp, "x,y,label\n0.5,1.0,0\n0.5,1.0,1.5\n", "{path} line 3 column 'label'"

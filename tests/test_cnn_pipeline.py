@@ -177,13 +177,13 @@ def _assert_one_error_line(capsys, argv, path):
 
 
 def test_resume_from_a_stride_zero_conv_is_one_error_line(tmp_path, capsys):
-    cfg_path, ckpt_path = _trained_cnn(tmp_path)
+    _, ckpt_path = _trained_cnn(tmp_path)
     ckpt = load_checkpoint(ckpt_path)
     ckpt.model.layers[1].stride = 0
     ckpt.epoch = 0  # so that resuming runs the conv
     bad = tmp_path / "bad.maxq"
     save_checkpoint(bad, ckpt)
-    _assert_one_error_line(capsys, ["train", "--config", str(cfg_path), "--resume", str(bad)], bad)
+    _assert_one_error_line(capsys, ["train", "--resume", str(bad)], bad)
 
 
 @pytest.mark.parametrize("stride, padding", [(0, 1), (1, -1)])

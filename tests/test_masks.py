@@ -420,14 +420,14 @@ def test_axis_scores_match_per_vector_composition():
         params = ImportanceParams(pattern.sparse_rate, tau)
         fscores = filter_axis_scores(w, pattern, tau)
         assert fscores.shape == w.dims
-        for i in range(w.c_out):
+        for i in range(w.dims[0]):
             np.testing.assert_array_equal(
                 fscores[i].reshape(-1), importance_scores(w.values[i].reshape(-1), params)
             )
         kscores = kernel_axis_scores(w, pattern, tau)
         assert kscores.shape == w.dims
-        for k1 in range(w.k_h):
-            for k2 in range(w.k_w):
+        for k1 in range(w.dims[2]):
+            for k2 in range(w.dims[3]):
                 slice_ = w.values[:, :, k1, k2].reshape(-1)
                 np.testing.assert_array_equal(
                     kscores[:, :, k1, k2].reshape(-1), importance_scores(slice_, params)

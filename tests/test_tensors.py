@@ -41,14 +41,14 @@ def random_tensor(rng, dims):
 def test_single_block_identity():
     w = WeightTensor4(np.reshape([1.0, 2.0, 3.0, 4.0], (1, 4, 1, 1)))
     bm = rearrange_to_blocks(w, 4)
-    assert bm.g == 1 and bm.m == 4
+    assert bm.values.shape == (1, 4)
     np.testing.assert_array_equal(bm.values, [[1.0, 2.0, 3.0, 4.0]])
 
 
 def test_two_filters_layout():
     w = WeightTensor4(np.reshape(np.arange(8.0), (2, 4, 1, 1)))
     bm = rearrange_to_blocks(w, 4)
-    assert bm.g == 2
+    assert bm.values.shape[0] == 2
     np.testing.assert_array_equal(bm.values[0], w.values[0, :, 0, 0])
     np.testing.assert_array_equal(bm.values[1], w.values[1, :, 0, 0])
 
@@ -57,7 +57,7 @@ def test_block_count_formula():
     # g = c_out * k_h * k_w * c_in / m
     w = random_tensor(np.random.default_rng(0), (1, 8, 3, 3))
     bm = rearrange_to_blocks(w, 4)
-    assert bm.g == 1 * 3 * 3 * (8 // 4) == 18
+    assert bm.values.shape[0] == 1 * 3 * 3 * (8 // 4) == 18
 
 
 def test_blocks_are_consecutive_input_channels():
@@ -65,7 +65,7 @@ def test_blocks_are_consecutive_input_channels():
     w = random_tensor(rng, (3, 8, 2, 2))
     m = 4
     bm = rearrange_to_blocks(w, m)
-    for g in range(bm.g):
+    for g in range(bm.values.shape[0]):
         for j in range(m):
             o, c, kh, kw = coord_of_block(w.dims, m, g, j)
             assert bm.values[g, j] == w.values[o, c, kh, kw]

@@ -95,10 +95,10 @@ def unit_soft_masks(model, pattern):
         if not layer.eligible:
             continue
         bm = rearrange_to_blocks(WeightTensor4(layer.weight), pattern.m)
-        bits = np.ones((bm.g, bm.m), dtype=np.uint8)
+        bits = np.ones(bm.values.shape, dtype=np.uint8)
         masks[layer.name] = (
             HardMask(bits),
-            np.ones((bm.g, bm.m)),
+            np.ones(bm.values.shape),
         )
     return masks
 
