@@ -656,6 +656,33 @@ def test_hard_mask_top_width_matches_stable_argsort_on_ties(values, data):
     np.testing.assert_array_equal(got.bits, argsort_top_width_reference(values, kept))
 
 
+@st.composite
+def spread_blocks(draw):
+    """(g, m) blocks across block widths whose entries are small integers
+    (ties), +-0.0, or +-e^x for a few x drawn from [-20, 20]."""
+    m = draw(st.sampled_from([4, 5, 6, 7, 8, 16]))
+    g = draw(st.integers(1, 40))
+    spread = [math.exp(x) for x in draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6))]
+    palette = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, *spread, *(-x for x in spread)])
+    return palette[draw(hnp.arrays(np.intp, (g, m), elements=st.integers(0, palette.size - 1)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=spread_blocks(), delta=deltas, ordering=orderings, data=st.data())
+def test_hard_mask_matches_stable_argsort_oracle_across_widths(values, delta, ordering, data):
+    g, m = values.shape
+    n = data.draw(st.integers(1, m - 1))
+    norms = np.abs(values).sum(axis=1)
+    keys = -norms if ordering == "l1_descending" else norms
+    chosen = np.argsort(keys, kind="stable")[: math.ceil(g * delta)]
+    bottom = np.argsort(np.abs(values), axis=1, kind="stable")[:, : m - n]
+    expected = np.ones((g, m), dtype=np.uint8)
+    expected[chosen[:, None], bottom[chosen]] = 0
+    got = hard_mask(bm_of(values), SparsePattern(n, m), delta, ordering)
+    assert got.bits.dtype == np.uint8 and got.bits.flags.c_contiguous
+    np.testing.assert_array_equal(got.bits, expected)
+
+
 # --------------------------------------------------------- golden digests
 
 GOLDEN_MASK_DIGESTS = {
@@ -683,6 +710,19 @@ GOLDEN_MASK_DIGESTS = {
     "64x64_1of16_d0.5": (
         (64, 64, 1, 1), SparsePattern(1, 16), 0.5, "block_percentage",
         "84cc153c97c24573c4a3f0ed8706af20380fac664088e98d4b21c79c60994059",
+    ),
+    # new names sort after the ones above, so each keeps its seed
+    "64x80_2of5_d0.6": (
+        (64, 80, 1, 1), SparsePattern(2, 5), 0.6, "block_percentage",
+        "e84364c3d709d99e1cbb281dfcea615fd6f7948a45bf1433c649c7b926a60a12",
+    ),
+    "64x96_2of8_d0.6": (
+        (64, 96, 1, 1), SparsePattern(2, 8), 0.6, "block_percentage",
+        "54c76a2c9bf299a17b90a445581f15f226dd9aa8a7c30ce16799dd7c3d0329d8",
+    ),
+    "8x14x3x3_3of7_d0.6": (
+        (8, 14, 3, 3), SparsePattern(3, 7), 0.6, "block_percentage",
+        "edc2250317c3302c957fdae9fe76fd79e6645e0083c3ba857eb6795f0469aa77",
     ),
 }
 
