@@ -163,8 +163,13 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is one ``error:`` line and exit 2, like any bad input
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nmsparse",
         description="N:M structured sparsity: train, fold, verify, compress, bench, schedule.",
     )

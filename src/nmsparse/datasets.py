@@ -81,10 +81,10 @@ def from_csv(path: str | Path, label_column: str) -> Dataset:
             where = f"CSV {path} line {reader.line_num}"
             features.append([_cell(float, v, where, header[i]) for i, v in enumerate(row) if i != label])
             labels.append(_cell(int, row[label], where, label_column))
+            if labels[-1] < 0:
+                raise ValueError(f"{where} column {label_column!r}: labels must be nonnegative, got {row[label]!r}")
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if y.size and y.min() < 0:
-        raise ValueError("labels must be nonnegative integers")
     return Dataset(X, y, num_classes=int(y.max()) + 1 if y.size else 0)
 
 

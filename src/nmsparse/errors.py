@@ -20,8 +20,8 @@ class PatternViolationError(ValueError):
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss, weight or bias."""
 
-    def __init__(self, epoch: int, iteration: int):
-        super().__init__(f"non-finite loss at epoch {epoch}, iteration {iteration}")
+    def __init__(self, epoch: int, iteration: int, what: str = "loss"):
+        super().__init__(f"non-finite {what} at epoch {epoch}, iteration {iteration}")
         self.epoch = epoch
         self.iteration = iteration
 

@@ -16,6 +16,9 @@ That count is exactly the entry's position in a stable argsort of the row,
 without sorting. Blocks are chosen by partitioning their norms at the
 boundary value and taking the lowest-index blocks among those equal to it,
 which again equals the first ``count`` entries of a stable argsort.
+Below m = 8 the hard mask ranks every block from one (m, g) array of
+magnitude columns, whose left-to-right sum is ``.sum(axis=1)`` bit for bit
+there, and spares the unchosen blocks; from m = 8 up it ranks only the chosen.
 An axis threshold needs two order statistics per row, not a sort: one
 single-kth ``np.partition`` at the largest pruned rank, then the minimum of
 the entries above it, which is exact under ties.
@@ -101,15 +104,8 @@ class ImportanceParams:
             raise ValueError(f"temperature must be positive, got {self.tau}")
 
 
-def _keep_bits(values: np.ndarray, drop: int) -> np.ndarray:
-    """uint8 (g, m) mask zeroing the ``drop`` smallest |values| of each row,
-    ties to the lowest column; ``values`` must be finite.
-
-    An entry's position in a stable argsort of its row is the number of
-    earlier columns with |v_i| <= |v_j| plus later columns with |v_i| < |v_j|.
-    Counting it takes m(m-1)/2 vectorised compares on contiguous columns.
-    """
-    cols = np.abs(values.T, order="C")
+def _ranks(cols: np.ndarray) -> np.ndarray:
+    """Each entry's place in its block's magnitude order, from (m, g) columns."""
     m = cols.shape[0]
     ranks = np.zeros(cols.shape, dtype=np.min_scalar_type(m - 1))
     for j in range(1, m):
@@ -117,7 +113,16 @@ def _keep_bits(values: np.ndarray, drop: int) -> np.ndarray:
             earlier_not_above = cols[i] <= cols[j]
             ranks[j] += earlier_not_above
             ranks[i] += ~earlier_not_above
-    return np.greater_equal(ranks.T, drop, order="C").view(np.uint8)
+    return ranks
+
+
+def _keep_bits(values: np.ndarray, drop: int) -> np.ndarray:
+    """uint8 (g, m) mask zeroing each row's ``drop`` smallest finite |values|, ties to the lowest column."""
+    return np.greater_equal(_ranks(np.abs(values.T, order="C")).T, drop, order="C").view(np.uint8)
+
+
+def _column_norms(cols: np.ndarray) -> np.ndarray:  # block l1 norms, (m, g) columns summed left to right
+    return sum(cols[1:], cols[0])
 
 
 def arg_bottom_per_block(bm: BlockMatrix, pattern: SparsePattern) -> np.ndarray:
@@ -141,20 +146,24 @@ def select_sparsify_blocks(
     l1_descending picks the largest-norm blocks first; l1_ascending is the
     inverse strategy. Norm ties go to the lowest block index.
     """
+    return np.flatnonzero(_chosen_blocks(np.asarray(norms, dtype=np.float64), delta, ordering)).astype(np.int64)
+
+
+def _chosen_blocks(norms: np.ndarray, delta: float, ordering: str) -> np.ndarray:
+    """Boolean over blocks: the ceil(G*delta) that ``select_sparsify_blocks`` picks."""
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    norms = np.asarray(norms, dtype=np.float64)
     count = math.ceil(norms.size * delta)
     if count == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.zeros(norms.size, dtype=bool)
     keys = -norms if ordering == "l1_descending" else norms
     boundary = np.partition(keys, count - 1)[count - 1]
     chosen = keys < boundary
     ties = np.flatnonzero(keys == boundary)
     chosen[ties[: count - int(chosen.sum())]] = True
-    return np.flatnonzero(chosen).astype(np.int64)
+    return chosen
 
 
 def hard_mask(
@@ -174,6 +183,11 @@ def hard_mask(
     drop = pattern.m - pattern.n
     if delta == 1.0:
         return HardMask(_keep_bits(bm.values, drop))
+    if pattern.m < 8:
+        cols = np.abs(bm.values.T, order="C")
+        keep = _ranks(cols) >= drop
+        keep |= ~_chosen_blocks(_column_norms(cols), delta, ordering)  # spare the unchosen blocks
+        return HardMask(np.ascontiguousarray(keep.T).view(np.uint8))
     chosen = select_sparsify_blocks(block_l1_norms(bm), delta, ordering)
     bits = np.ones(bm.values.shape, dtype=np.uint8)
     bits[chosen] = _keep_bits(bm.values[chosen], drop)

@@ -193,12 +193,12 @@ def sr_ste_step(
     the gradients are only read. Each weight array costs one temporary.
     """
     grads_w, grads_b = grads
-    sr = float(config.sr_weight)  # a float gate, so the products below can be taken in place
     wd = float(config.weight_decay)
+    decay = np.array([float(config.sr_weight), wd])  # indexed by the hard mask: 0 -> sr, 1 -> wd
     for i, layer in enumerate(model.layers):
         if layer.name in masks:
             hard, _ = masks[layer.name]
-            update = np.where(block_layout_inverse(hard.bits, layer.weight.shape), wd, sr)
+            update = np.take(decay, block_layout_inverse(hard.bits, layer.weight.shape))
             update *= layer.weight
         else:
             update = layer.weight * wd
@@ -254,8 +254,9 @@ def fit(
                 raise DivergenceError(epoch, iteration)
             grads = ste_backward(model, cache)
             sr_ste_step(model, grads, masks, config, lr, velocity)
-            if not all(np.isfinite(l.weight).all() and np.isfinite(l.bias).all() for l in model.layers):
-                raise DivergenceError(epoch, iteration)
+            for what, values in ((f"{k} of layer {l.name}", getattr(l, k)) for l in model.layers for k in ("weight", "bias")):
+                if not np.isfinite(values).all():
+                    raise DivergenceError(epoch, iteration, what)
             loss_sum += loss * len(yb)
             correct += int((nn.predict(cache.logits) == yb).sum())
             iteration += 1

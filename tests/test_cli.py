@@ -190,7 +190,7 @@ def test_cli_reports_an_overflowing_last_step_with_exit_code_3(run_dir, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         code = main(["train", "--config", str(cfg_path)])
     assert code == 3
-    assert re.fullmatch(r"error: non-finite loss at epoch 0, iteration 0\n", capsys.readouterr().err)
+    assert capsys.readouterr().err == "error: non-finite weight of layer fc0 at epoch 0, iteration 0\n"
     assert not (out / "checkpoint.maxq").exists()
 
 
@@ -201,6 +201,27 @@ def test_train_takes_either_a_config_or_a_checkpoint(run_dir, capsys):
     assert info.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "--config", "c.json", "--resume", "r.maxq"], ["fold", "--ckpt", "c.maxq"], ["bench", "--reps", "x"], []],
+    ids=["exclusive_flags", "missing_flag", "bad_int", "no_command"],
+)
+def test_cli_usage_error_is_one_error_line(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: [^\n]*\n", captured.err)
+
+
+def test_cli_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: nmsparse train")
 
 
 def _truncated_checkpoint(run_dir, tmp_path):
@@ -289,7 +310,9 @@ MALFORMED_CONFIGS = {
     "csv_short_row": lambda doc, tmp: _csv_dataset(doc, tmp, "x,y,label\n0.5,1.0,0\n0.25,1\n", "{path} line 3"),
     "csv_long_row": lambda doc, tmp: _csv_dataset(doc, tmp, "x,y,label\n0.5,1.0,0,7\n", "{path} line 2"),
     "csv_label_only": lambda doc, tmp: _csv_dataset(doc, tmp, "label\n0\n1\n", "at least 1"),
-    "csv_negative_label": lambda doc, tmp: _csv_dataset(doc, tmp, "x,y,label\n0.5,1.0,0\n0.5,1.0,-1\n", "nonnegative"),
+    "csv_negative_label": lambda doc, tmp: _csv_dataset(
+        doc, tmp, "x,y,label\n0.5,1.0,0\n0.5,1.0,-1\n", "{path} line 3 column 'label': labels must be nonnegative"
+    ),
     "cnn_on_2d_data": lambda doc, _: (_set(doc, "trainer", "arch", "cnn"), "image-shaped"),
     "csv_text_feature": lambda doc, tmp: _csv_dataset(doc, tmp, "x,y,label\nabc,1.0,0\n", "{path} line 2 column 'x'"),
     "csv_fractional_label": lambda doc, tmp: _csv_dataset(

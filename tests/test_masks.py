@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from nmsparse.errors import DegenerateAxisError, DimensionError
 from nmsparse.masks import (
     ImportanceParams,
+    _column_norms,
     _row_thresholds,
     SparsePattern,
     arg_bottom_per_block,
@@ -657,10 +658,10 @@ def test_hard_mask_top_width_matches_stable_argsort_on_ties(values, data):
 
 
 @st.composite
-def spread_blocks(draw):
-    """(g, m) blocks across block widths whose entries are small integers
-    (ties), +-0.0, or +-e^x for a few x drawn from [-20, 20]."""
-    m = draw(st.sampled_from([4, 5, 6, 7, 8, 16]))
+def spread_blocks(draw, widths=(4, 5, 6, 7, 8, 16)):
+    """(g, m) blocks whose entries are small integers (ties), +-0.0, or
+    +-e^x for a few x drawn from [-20, 20]."""
+    m = draw(st.sampled_from(list(widths)))
     g = draw(st.integers(1, 40))
     spread = [math.exp(x) for x in draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6))]
     palette = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, *spread, *(-x for x in spread)])
@@ -682,6 +683,21 @@ def test_hard_mask_matches_stable_argsort_oracle_across_widths(values, delta, or
     assert got.bits.dtype == np.uint8 and got.bits.flags.c_contiguous
     np.testing.assert_array_equal(got.bits, expected)
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=spread_blocks(widths=range(2, 8)))
+def test_column_norms_equal_row_sums_below_width_8(values):
+    """hard_mask sums the norms column by column below m = 8; numpy's row sum
+    must give the same bits there, or the chosen blocks could move."""
+    np.testing.assert_array_equal(_column_norms(np.abs(values.T, order="C")), np.abs(values).sum(axis=1))
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_column_norms_equal_row_sums_on_65536_spread_blocks(m):
+    rng = np.random.default_rng(m)
+    values = rng.normal(size=(65536, m)) * np.exp(rng.uniform(-20.0, 20.0, size=(65536, m)))
+    np.testing.assert_array_equal(_column_norms(np.abs(values.T, order="C")), np.abs(values).sum(axis=1))
 
 # --------------------------------------------------------- golden digests
 
