@@ -121,10 +121,6 @@ def _keep_bits(values: np.ndarray, drop: int) -> np.ndarray:
     return np.greater_equal(_ranks(np.abs(values.T, order="C")).T, drop, order="C").view(np.uint8)
 
 
-def _column_norms(cols: np.ndarray) -> np.ndarray:  # block l1 norms, (m, g) columns summed left to right
-    return sum(cols[1:], cols[0])
-
-
 def arg_bottom_per_block(bm: BlockMatrix, pattern: SparsePattern) -> np.ndarray:
     """Indices of the m-n smallest |values| per block, each row strictly increasing.
 
@@ -174,19 +170,22 @@ def hard_mask(
 ) -> HardMask:
     """All-ones mask with the bottom m-n entries of each selected block zeroed.
 
-    At delta 1 every block is chosen, so the block norms are not computed.
+    At delta 0 no block is chosen and at delta 1 every one is, so the block
+    norms are not computed.
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
     if bm.values.shape[1] != pattern.m:
         raise DimensionError(f"block width {bm.values.shape[1]} does not match pattern {pattern}")
     drop = pattern.m - pattern.n
+    if delta == 0.0:
+        return HardMask(np.ones(bm.values.shape, dtype=np.uint8))
     if delta == 1.0:
         return HardMask(_keep_bits(bm.values, drop))
     if pattern.m < 8:
         cols = np.abs(bm.values.T, order="C")
         keep = _ranks(cols) >= drop
-        keep |= ~_chosen_blocks(_column_norms(cols), delta, ordering)  # spare the unchosen blocks
+        keep |= ~_chosen_blocks(sum(cols[1:], cols[0]), delta, ordering)  # spare the unchosen blocks
         return HardMask(np.ascontiguousarray(keep.T).view(np.uint8))
     chosen = select_sparsify_blocks(block_l1_norms(bm), delta, ordering)
     bits = np.ones(bm.values.shape, dtype=np.uint8)

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 from nmsparse.errors import DegenerateAxisError, DimensionError
 from nmsparse.masks import (
     ImportanceParams,
-    _column_norms,
     _row_thresholds,
     SparsePattern,
     arg_bottom_per_block,
@@ -685,19 +684,26 @@ def test_hard_mask_matches_stable_argsort_oracle_across_widths(values, delta, or
 
 
 
+def column_sums(values):
+    """Block norms as hard_mask sums them below m = 8: the (m, g) magnitude
+    columns added left to right."""
+    cols = np.abs(values.T, order="C")
+    return sum(cols[1:], cols[0])
+
+
 @settings(max_examples=300, deadline=None)
 @given(values=spread_blocks(widths=range(2, 8)))
-def test_column_norms_equal_row_sums_below_width_8(values):
-    """hard_mask sums the norms column by column below m = 8; numpy's row sum
-    must give the same bits there, or the chosen blocks could move."""
-    np.testing.assert_array_equal(_column_norms(np.abs(values.T, order="C")), np.abs(values).sum(axis=1))
+def test_column_sums_equal_row_sums_below_width_8(values):
+    """numpy's row sum must give the column sum's bits below m = 8, or the
+    blocks hard_mask chooses there could differ from select_sparsify_blocks'."""
+    np.testing.assert_array_equal(column_sums(values), np.abs(values).sum(axis=1))
 
 
 @pytest.mark.parametrize("m", range(2, 8))
-def test_column_norms_equal_row_sums_on_65536_spread_blocks(m):
+def test_column_sums_equal_row_sums_on_65536_spread_blocks(m):
     rng = np.random.default_rng(m)
     values = rng.normal(size=(65536, m)) * np.exp(rng.uniform(-20.0, 20.0, size=(65536, m)))
-    np.testing.assert_array_equal(_column_norms(np.abs(values.T, order="C")), np.abs(values).sum(axis=1))
+    np.testing.assert_array_equal(column_sums(values), np.abs(values).sum(axis=1))
 
 # --------------------------------------------------------- golden digests
 
