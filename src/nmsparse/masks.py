@@ -16,9 +16,8 @@ That count is exactly the entry's position in a stable argsort of the row,
 without sorting. Blocks are chosen by partitioning their norms at the
 boundary value and taking the lowest-index blocks among those equal to it,
 which again equals the first ``count`` entries of a stable argsort.
-Below m = 8 the hard mask ranks every block from one (m, g) array of
-magnitude columns, whose left-to-right sum is ``.sum(axis=1)`` bit for bit
-there, and spares the unchosen blocks; from m = 8 up it ranks only the chosen.
+Below m = 8 the hard mask ranks all blocks from one (m, g) magnitude-column
+array, whose sum is ``.sum(axis=1)`` bit for bit there, and spares the rest.
 An axis threshold needs two order statistics per row, not a sort: one
 single-kth ``np.partition`` at the largest pruned rank, then the minimum of
 the entries above it, which is exact under ties.
@@ -107,12 +106,12 @@ class ImportanceParams:
 def _ranks(cols: np.ndarray) -> np.ndarray:
     """Each entry's place in its block's magnitude order, from (m, g) columns."""
     m = cols.shape[0]
-    ranks = np.zeros(cols.shape, dtype=np.min_scalar_type(m - 1))
+    ranks = np.arange(m - 1, -1, -1, dtype=np.min_scalar_type(m - 1))[:, None].repeat(cols.shape[1], axis=1)  # later columns
     for j in range(1, m):
         for i in range(j):
             earlier_not_above = cols[i] <= cols[j]
             ranks[j] += earlier_not_above
-            ranks[i] += ~earlier_not_above
+            ranks[i] -= earlier_not_above  # a later column not below i
     return ranks
 
 
@@ -184,9 +183,11 @@ def hard_mask(
         return HardMask(_keep_bits(bm.values, drop))
     if pattern.m < 8:
         cols = np.abs(bm.values.T, order="C")
-        keep = _ranks(cols) >= drop
-        keep |= ~_chosen_blocks(sum(cols[1:], cols[0]), delta, ordering)  # spare the unchosen blocks
-        return HardMask(np.ascontiguousarray(keep.T).view(np.uint8))
+        kept_from = _chosen_blocks(sum(cols[1:], cols[0]), delta, ordering) * np.uint8(drop)  # 0 spares a block
+        keep = np.empty(bm.values.shape, dtype=bool)
+        for j, col_ranks in enumerate(_ranks(cols)):  # one strided write per column
+            np.greater_equal(col_ranks, kept_from, out=keep[:, j])
+        return HardMask(keep.view(np.uint8))
     chosen = select_sparsify_blocks(block_l1_norms(bm), delta, ordering)
     bits = np.ones(bm.values.shape, dtype=np.uint8)
     bits[chosen] = _keep_bits(bm.values[chosen], drop)
