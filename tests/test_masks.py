@@ -683,7 +683,6 @@ def test_hard_mask_matches_stable_argsort_oracle_across_widths(values, delta, or
     np.testing.assert_array_equal(got.bits, expected)
 
 
-
 def column_sums(values):
     """Block norms as hard_mask sums them below m = 8: the (m, g) magnitude
     columns added left to right."""
@@ -704,6 +703,7 @@ def test_column_sums_equal_row_sums_on_65536_spread_blocks(m):
     rng = np.random.default_rng(m)
     values = rng.normal(size=(65536, m)) * np.exp(rng.uniform(-20.0, 20.0, size=(65536, m)))
     np.testing.assert_array_equal(column_sums(values), np.abs(values).sum(axis=1))
+
 
 # --------------------------------------------------------- golden digests
 
