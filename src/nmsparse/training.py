@@ -254,9 +254,10 @@ def fit(
                 raise DivergenceError(epoch, iteration)
             grads = ste_backward(model, cache)
             sr_ste_step(model, grads, masks, config, lr, velocity)
-            for what, values in ((f"{k} of layer {l.name}", getattr(l, k)) for l in model.layers for k in ("weight", "bias")):
-                if not np.isfinite(values).all():
-                    raise DivergenceError(epoch, iteration, what)
+            for l in model.layers:
+                for k in ("weight", "bias"):
+                    if not np.isfinite(getattr(l, k)).all():
+                        raise DivergenceError(epoch, iteration, f"{k} of layer {l.name}")
             loss_sum += loss * len(yb)
             correct += int((nn.predict(cache.logits) == yb).sum())
             iteration += 1

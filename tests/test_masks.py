@@ -26,7 +26,7 @@ from nmsparse.masks import (
     soft_mask,
 )
 from nmsparse.schedule import Schedule, delta as schedule_delta
-from nmsparse.tensors import BlockMatrix, WeightTensor4, block_layout, rearrange_to_blocks
+from nmsparse.tensors import BlockMatrix, WeightTensor4, block_l1_norms, block_layout, rearrange_to_blocks
 
 
 def bm_of(rows, dims=None):
@@ -683,26 +683,26 @@ def test_hard_mask_matches_stable_argsort_oracle_across_widths(values, delta, or
     np.testing.assert_array_equal(got.bits, expected)
 
 
-def column_sums(values):
-    """Block norms as hard_mask sums them below m = 8: the (m, g) magnitude
-    columns added left to right."""
-    cols = np.abs(values.T, order="C")
-    return sum(cols[1:], cols[0])
-
-
-@settings(max_examples=300, deadline=None)
-@given(values=spread_blocks(widths=range(2, 8)))
-def test_column_sums_equal_row_sums_below_width_8(values):
-    """numpy's row sum must give the column sum's bits below m = 8, or the
-    blocks hard_mask chooses there could differ from select_sparsify_blocks'."""
-    np.testing.assert_array_equal(column_sums(values), np.abs(values).sum(axis=1))
-
-
 @pytest.mark.parametrize("m", range(2, 8))
-def test_column_sums_equal_row_sums_on_65536_spread_blocks(m):
+def test_column_sums_equal_block_l1_norms_below_width_8(m):
+    """hard_mask adds the magnitude columns for its block norms below m = 8;
+    they must carry block_l1_norms' bits, or it could choose other blocks."""
     rng = np.random.default_rng(m)
     values = rng.normal(size=(65536, m)) * np.exp(rng.uniform(-20.0, 20.0, size=(65536, m)))
-    np.testing.assert_array_equal(column_sums(values), np.abs(values).sum(axis=1))
+    np.testing.assert_array_equal(sum(np.abs(values.T, order="C")), block_l1_norms(bm_of(values)))
+
+
+def test_hard_mask_at_width_8_chooses_by_block_l1_norms():
+    """At m = 8 the column sums tie these two blocks, so the first would win;
+    block_l1_norms puts the second ahead by one ulp, and it must be chosen."""
+    e = 2.0**-53
+    values = np.array([[1.0, 0, 0, 0, 0, 0, 0, 0], [1.0, 0, e, e, 0, 0, 0, 0]])
+    bm = bm_of(values)
+    norms = block_l1_norms(bm)
+    assert norms[1] > norms[0] and sum(np.abs(values.T))[0] == sum(np.abs(values.T))[1]
+    got = hard_mask(bm, SparsePattern(4, 8), 0.5)
+    np.testing.assert_array_equal(select_sparsify_blocks(norms, 0.5), [1])
+    np.testing.assert_array_equal(got.bits, [[1] * 8, [1, 0, 1, 1, 0, 0, 0, 1]])
 
 
 # --------------------------------------------------------- golden digests
