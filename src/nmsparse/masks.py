@@ -117,11 +117,16 @@ def _ranks(cols: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _keep_bits(values: np.ndarray, drop: int | np.ndarray) -> np.ndarray:
-    """uint8 (g, m) mask zeroing each row's ``drop`` (an int, or one per row)
-    smallest finite |values|, ties to the lowest column."""
-    keep = np.empty(values.shape, dtype=bool)
-    for j, col_ranks in enumerate(_ranks(np.abs(values.T, order="C"))):  # one strided write per column
+def _columns(bm: BlockMatrix) -> np.ndarray:
+    """The (m, g) magnitude columns of a block matrix, C-contiguous."""
+    return np.abs(bm.values.T, order="C")
+
+
+def _keep_bits(cols: np.ndarray, drop: int | np.ndarray) -> np.ndarray:
+    """uint8 (g, m) mask zeroing each block's ``drop`` (an int, or one per
+    block) smallest magnitudes, from (m, g) columns; ties to the lowest column."""
+    keep = np.empty(cols.shape[::-1], dtype=bool)
+    for j, col_ranks in enumerate(_ranks(cols)):  # one strided write per column
         np.greater_equal(col_ranks, drop, out=keep[:, j])
     return keep.view(np.uint8)
 
@@ -135,7 +140,7 @@ def arg_bottom_per_block(bm: BlockMatrix, pattern: SparsePattern) -> np.ndarray:
     if m != pattern.m:
         raise DimensionError(f"block width {m} does not match pattern {pattern}")
     drop = pattern.m - pattern.n
-    bottom = _keep_bits(bm.values, drop) == 0
+    bottom = _keep_bits(_columns(bm), drop) == 0
     return np.nonzero(bottom)[1].reshape(g, drop)
 
 
@@ -184,13 +189,14 @@ def hard_mask(
         raise DimensionError(f"block width {bm.values.shape[1]} does not match pattern {pattern}")
     if delta == 0.0:
         return HardMask(np.ones(bm.values.shape, dtype=np.uint8))
+    cols = _columns(bm)
     drop = pattern.m - pattern.n
     if delta < 1.0:
         # numpy sums a row shorter than 8 left to right, so below m = 8 adding the
         # magnitude columns gives block_l1_norms' bits, about 12x faster
-        norms = sum(np.abs(bm.values.T, order="C")) if pattern.m < 8 else block_l1_norms(bm)
+        norms = sum(cols) if pattern.m < 8 else block_l1_norms(bm)
         drop = _chosen_blocks(norms, delta, ordering) * np.uint8(drop)  # 0 spares a block
-    return HardMask(_keep_bits(bm.values, drop))
+    return HardMask(_keep_bits(cols, drop))
 
 
 def hard_mask_top_width(bm: BlockMatrix, kept: int) -> HardMask:
@@ -198,7 +204,7 @@ def hard_mask_top_width(bm: BlockMatrix, kept: int) -> HardMask:
     m = bm.values.shape[1]
     if not 1 <= kept <= m:
         raise DimensionError(f"kept width {kept} out of range for m={m}")
-    return HardMask(_keep_bits(bm.values, m - kept))
+    return HardMask(_keep_bits(_columns(bm), m - kept))
 
 
 def kept_width_from_delta(delta: float, pattern: SparsePattern) -> int:
@@ -266,7 +272,7 @@ def filter_axis_scores(w: WeightTensor4, pattern: SparsePattern, tau: float) -> 
     c_out, c_in, _, _ = w.dims
     if c_in % pattern.m != 0:
         raise DimensionError(f"pattern {pattern} does not divide c_in={c_in}")
-    mags = np.abs(w.values).reshape(c_out, -1)
+    mags = w.magnitudes.reshape(c_out, -1)
     return _row_scores(mags, pattern.sparse_rate, tau).reshape(w.dims)
 
 
@@ -275,20 +281,24 @@ def kernel_axis_scores(w: WeightTensor4, pattern: SparsePattern, tau: float) -> 
     c_out, c_in, k_h, k_w = w.dims
     if c_in % pattern.m != 0:
         raise DimensionError(f"pattern {pattern} does not divide c_in={c_in}")
-    # group (k1, k2): one vector of length c_out*c_in per kernel position
-    mags = np.abs(w.values.transpose(2, 3, 0, 1), order="C").reshape(k_h * k_w, -1)
+    # group (k1, k2): one vector of length c_out*c_in per kernel position; a view for 1x1
+    mags = w.magnitudes.transpose(2, 3, 0, 1).reshape(k_h * k_w, -1)
     scores = _row_scores(mags, pattern.sparse_rate, tau)
     return scores.reshape(k_h, k_w, c_out, c_in).transpose(2, 3, 0, 1)
 
 
-def soft_mask(hard: HardMask, sf: np.ndarray, sk: np.ndarray) -> np.ndarray:
-    """The (g, m) f64 soft mask b * (1 + filter scores + kernel scores) in block layout."""
+def soft_mask(hard: HardMask, sf: np.ndarray, sk: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """The (g, m) f64 soft mask b * (1 + filter scores + kernel scores) in block layout.
+
+    Written to ``out`` when given, which may be the block layout of ``sf``
+    itself; otherwise to a new array.
+    """
     if sf.shape != sk.shape:
         raise DimensionError(f"axis score shapes differ: {sf.shape} vs {sk.shape}")
     if sf.size != hard.bits.size:
         raise DimensionError(f"axis scores hold {sf.size} entries, mask needs {hard.bits.size}")
     m = hard.bits.shape[1]
-    soft = np.add(block_layout(sf, m), 1.0)
+    soft = np.add(block_layout(sf, m), 1.0, out=out)
     soft += block_layout(sk, m)
     soft *= hard.bits
     return soft
@@ -307,7 +317,12 @@ def build_masks(
     ordering: str = "l1_descending",
     mode: str = "block_percentage",
 ) -> tuple[HardMask, np.ndarray]:
-    """One full mask pass for a layer: hard mask, both axis queries, soft mask."""
+    """One full mask pass for a layer: hard mask, both axis queries, soft mask.
+
+    Both axis queries read ``w.magnitudes``, one |w| pass. When the filter
+    scores' block layout is a view of their buffer (a 1x1 layer), the soft
+    mask is built in that buffer.
+    """
     bm = rearrange_to_blocks(w, pattern.m)
     if mode == "block_width":
         hard = hard_mask_top_width(bm, kept_width_from_delta(delta, pattern))
@@ -317,4 +332,5 @@ def build_masks(
         raise ValueError(f"unknown mask mode {mode!r}")
     sf = filter_axis_scores(w, pattern, tau)
     sk = kernel_axis_scores(w, pattern, tau)
-    return hard, soft_mask(hard, sf, sk)
+    blocks = block_layout(sf, pattern.m)
+    return hard, soft_mask(hard, sf, sk, out=blocks if np.may_share_memory(blocks, sf) else None)

@@ -13,6 +13,7 @@ contiguous; the compressed runtime format relies on that ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,17 @@ class WeightTensor4:
     @property
     def dims(self) -> Dims4:
         return tuple(self.values.shape)  # type: ignore[return-value]
+
+    @cached_property
+    def magnitudes(self) -> np.ndarray:
+        """Read-only |values|, computed on first use and shared by later readers.
+
+        Like the finiteness check, it assumes ``values`` is not written after
+        the tensor is built.
+        """
+        mags = np.abs(self.values)
+        mags.flags.writeable = False
+        return mags
 
 
 @dataclass(frozen=True, eq=False)

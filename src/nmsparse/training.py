@@ -179,6 +179,16 @@ def ste_backward(model: nn.Model, cache: ForwardCache) -> tuple[list[np.ndarray]
     return nn.backward(model, cache.weights, cache.layer_caches, cache.dlogits)
 
 
+# Bytes of weight rows that ``sr_ste_step`` updates at a time. The update
+# streams five arrays (update, weight, gradient, velocity, mask bits), so a
+# block this size keeps them near a 2 MB L2 cache. Median ``sr_ste_step`` time
+# on a [2, 1024, 1024, 1024, 2] 2:4 MLP (2-core x86 box, 1-thread BLAS):
+#   no blocks 32.8 ms | 32 KB 18.8 | 64 KB 16.1 | 128 KB 14.8 | 256 KB 13.7
+#   512 KB 14.0 | 1 MB 16.4 | 2 MB 17.3
+# 512 KB also holds a whole 256x256 layer, so smaller models keep one block.
+UPDATE_BLOCK_BYTES = 512 * 1024
+
+
 def sr_ste_step(
     model: nn.Model,
     grads: tuple[list[np.ndarray], list[np.ndarray]],
@@ -190,23 +200,30 @@ def sr_ste_step(
     """One in-place SGD step with momentum and mask-gated decay.
 
     Updates the weights, the biases and the ``velocity.w`` arrays in place;
-    the gradients are only read. Each weight array costs one temporary.
+    the gradients are only read. Each weight array is updated in blocks of
+    output rows of about ``UPDATE_BLOCK_BYTES``, each with one temporary;
+    every element goes through the same operations whatever the block size.
     """
     grads_w, grads_b = grads
     wd = float(config.weight_decay)
     decay = np.array([float(config.sr_weight), wd])  # indexed by the hard mask: 0 -> sr, 1 -> wd
     for i, layer in enumerate(model.layers):
-        if layer.name in masks:
-            hard, _ = masks[layer.name]
-            update = np.take(decay, block_layout_inverse(hard.bits, layer.weight.shape))
-            update *= layer.weight
-        else:
-            update = layer.weight * wd
-        update += grads_w[i]
-        velocity.w[i] *= config.momentum
-        velocity.w[i] += update
-        np.multiply(velocity.w[i], lr, out=update)
-        layer.weight -= update
+        w = layer.weight
+        bits = block_layout_inverse(masks[layer.name][0].bits, w.shape) if layer.name in masks else None
+        rows = max(1, UPDATE_BLOCK_BYTES * len(w) // w.nbytes)
+        for start in range(0, len(w), rows):
+            r = slice(start, start + rows)
+            wr, vr = w[r], velocity.w[i][r]
+            if bits is None:
+                update = wr * wd
+            else:
+                update = np.take(decay, bits[r])
+                update *= wr
+            update += grads_w[i][r]
+            vr *= config.momentum
+            vr += update
+            np.multiply(vr, lr, out=update)
+            wr -= update
         velocity.b[i] = config.momentum * velocity.b[i] + grads_b[i]
         layer.bias -= lr * velocity.b[i]
 

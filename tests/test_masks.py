@@ -517,6 +517,29 @@ def test_soft_mask_leaves_its_inputs_unchanged(dims):
     assert not any(np.shares_memory(soft, a) for a in (sf, sk, hard.bits))
 
 
+@pytest.mark.parametrize("dims", [(8, 16, 1, 1), (4, 8, 3, 3)])
+@pytest.mark.parametrize("mode", ["block_percentage", "block_width"])
+def test_build_masks_and_axis_queries_leave_the_weights_and_share_no_memory(dims, mode):
+    # build_masks shares |w| between the axis queries and may build the soft
+    # mask in the filter scores' buffer; none of that may reach the caller's arrays
+    rng = np.random.default_rng(20)
+    values = rng.normal(size=dims)
+    saved = values.tobytes()
+    w = WeightTensor4(values)
+    pattern = SparsePattern(2, 4)
+    hard, soft = build_masks(w, pattern, 0.1, delta=0.5, mode=mode)
+    assert values.tobytes() == saved
+    assert not np.shares_memory(soft, values)
+    assert not np.shares_memory(soft, w.magnitudes)
+    sf = filter_axis_scores(w, pattern, 0.1)
+    sk = kernel_axis_scores(w, pattern, 0.1)
+    for scores in (sf, sk):
+        assert not any(np.shares_memory(scores, a) for a in (values, w.magnitudes, soft))
+    assert not np.shares_memory(sf, sk)
+    np.testing.assert_array_equal(w.magnitudes, np.abs(values))
+    assert values.tobytes() == saved
+
+
 def test_soft_mask_shape_mismatch_raises():
     rng = np.random.default_rng(14)
     w = WeightTensor4(rng.normal(size=(2, 4, 1, 1)))

@@ -1,6 +1,7 @@
 """The benchmark's smoke run: every workload and gate at tiny sizes.
 
-A library change that breaks what ``perfbench/`` uses fails here.
+A library change that breaks what ``perfbench/`` uses fails here, and so
+does one that stops calling a function the tracer times by name.
 """
 import subprocess
 import sys
@@ -8,6 +9,30 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".perfbench_work"
+WORKLOADS = {"train_mlp_wide", "train_cnn_idx", "deploy_nmz"}
+# Every workload trains a masked model, so each of these spans must be timed.
+TRACED_NONZERO = (
+    "masks.hard_ms",
+    "masks.filter_scores_ms",
+    "masks.kernel_scores_ms",
+    "masks.soft_ms",
+    "masks.calls",
+    "training.update_ms",
+)
+
+
+def traced_metrics(stdout: str) -> dict[str, dict[str, float]]:
+    """Metric values of each ``== <workload> (traced): …`` section of the report."""
+    sections: dict[str, dict[str, float]] = {}
+    current = None
+    for line in stdout.splitlines():
+        if line.startswith("== "):
+            name, mode = line[3:].split()[:2]
+            current = sections.setdefault(name, {}) if mode == "(traced):" else None
+        elif current is not None and line.endswith("is better)"):
+            metric, value = line.split()[:2]
+            current[metric] = float(value)
+    return sections
 
 
 def test_perfbench_smoke_passes():
@@ -26,3 +51,8 @@ def test_perfbench_smoke_passes():
             WORK.rmdir()
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == '{"smoke": "passed"}'
+    sections = traced_metrics(proc.stdout)
+    assert set(sections) == WORKLOADS
+    for name, values in sections.items():
+        for metric in TRACED_NONZERO:
+            assert values[metric] > 0, (name, metric)

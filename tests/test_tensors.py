@@ -160,3 +160,12 @@ def test_block_l1_norms_permutation_invariant():
 def test_weight_tensor_rejects_nonfinite():
     with pytest.raises(ValueError):
         WeightTensor4(np.full((1, 2, 1, 1), np.nan))
+
+
+def test_magnitudes_are_abs_values_computed_once_and_read_only():
+    w = WeightTensor4(np.reshape([0.5, -1.0, -0.0, 2.0], (1, 4, 1, 1)))
+    mags = w.magnitudes
+    assert mags.tobytes() == np.abs(w.values).tobytes()
+    assert w.magnitudes is mags
+    assert not mags.flags.writeable
+    assert not np.shares_memory(mags, w.values)

@@ -327,40 +327,61 @@ def test_metrics_csv_round_trip():
     assert training.metrics_to_csv(back) == text
 
 
-def test_sr_ste_step_matches_clipped_soft_interpolation_bit_for_bit():
+# One row per block; 1000 bytes, which is 3 rows of the 32-wide fc1 and of the
+# first conv, dividing neither 32 nor 8 output rows; and the default.
+BLOCK_SIZES = [1, 1000, training.UPDATE_BLOCK_BYTES]
+
+
+def test_sr_ste_step_matches_clipped_soft_interpolation_bit_for_bit(monkeypatch):
     # the update gates decay by clip(soft, 0, 1); kept soft values lie in [1, 3]
-    # and pruned ones are 0, so the gate is the hard mask itself
-    rng = np.random.default_rng(21)
-    for model, mode, delta in (
-        (fresh_model(seed=22, sizes=(2, 32, 32, 2)), "block_percentage", 0.6),
-        (fresh_model(seed=23, sizes=(2, 32, 32, 2)), "block_width", 0.5),
-        (nn.cnn((4, 6, 6), 3, rng, channels=(8, 8)), "block_percentage", 1.0),
-    ):
-        cfg = small_config(schedule=Schedule(0, 6, mode=mode), sr_ste_weight=3e-3, weight_decay=2e-4)
-        model.mark_eligibility(cfg.pattern)
-        masks = training.compute_step_masks(model, cfg, delta)
-        assert masks
-        grads_w = [rng.normal(size=l.weight.shape) for l in model.layers]
-        grads_b = [rng.normal(size=l.bias.shape) for l in model.layers]
-        velocity = training.Velocity(
-            [rng.normal(size=l.weight.shape) for l in model.layers],
-            [rng.normal(size=l.bias.shape) for l in model.layers],
-        )
-        expected_w, expected_v = [], []
-        for i, layer in enumerate(model.layers):
-            coeff = cfg.weight_decay
-            if layer.name in masks:
-                hard, soft = masks[layer.name]
-                np.testing.assert_array_equal(np.clip(soft, 0.0, 1.0), hard.bits)
-                gate = block_layout_inverse(np.clip(soft, 0.0, 1.0), layer.weight.shape)
-                coeff = cfg.weight_decay * gate + cfg.sr_weight * (1.0 - gate)
-            v = cfg.momentum * velocity.w[i] + (grads_w[i] + coeff * layer.weight)
-            expected_v.append(v)
-            expected_w.append(layer.weight - 0.05 * v)
-        training.sr_ste_step(model, (grads_w, grads_b), masks, cfg, 0.05, velocity)
-        for i, layer in enumerate(model.layers):
-            assert np.array_equal(velocity.w[i], expected_v[i])
-            assert np.array_equal(layer.weight, expected_w[i])
+    # and pruned ones are 0, so the gate is the hard mask itself; the oracle is
+    # unblocked, so every block size must reproduce it bit for bit
+    for block_bytes in BLOCK_SIZES:
+        monkeypatch.setattr(training, "UPDATE_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(21)
+        for model, mode, delta in (
+            (fresh_model(seed=22, sizes=(2, 32, 32, 2)), "block_percentage", 0.6),
+            (fresh_model(seed=23, sizes=(2, 32, 32, 2)), "block_width", 0.5),
+            (nn.cnn((4, 6, 6), 3, rng, channels=(8, 8)), "block_percentage", 1.0),
+        ):
+            cfg = small_config(schedule=Schedule(0, 6, mode=mode), sr_ste_weight=3e-3, weight_decay=2e-4)
+            model.mark_eligibility(cfg.pattern)
+            masks = training.compute_step_masks(model, cfg, delta)
+            assert masks
+            grads_w = [rng.normal(size=l.weight.shape) for l in model.layers]
+            grads_b = [rng.normal(size=l.bias.shape) for l in model.layers]
+            velocity = training.Velocity(
+                [rng.normal(size=l.weight.shape) for l in model.layers],
+                [rng.normal(size=l.bias.shape) for l in model.layers],
+            )
+            expected_w, expected_v = [], []
+            for i, layer in enumerate(model.layers):
+                coeff = cfg.weight_decay
+                if layer.name in masks:
+                    hard, soft = masks[layer.name]
+                    np.testing.assert_array_equal(np.clip(soft, 0.0, 1.0), hard.bits)
+                    gate = block_layout_inverse(np.clip(soft, 0.0, 1.0), layer.weight.shape)
+                    coeff = cfg.weight_decay * gate + cfg.sr_weight * (1.0 - gate)
+                v = cfg.momentum * velocity.w[i] + (grads_w[i] + coeff * layer.weight)
+                expected_v.append(v)
+                expected_w.append(layer.weight - 0.05 * v)
+            training.sr_ste_step(model, (grads_w, grads_b), masks, cfg, 0.05, velocity)
+            for i, layer in enumerate(model.layers):
+                assert np.array_equal(velocity.w[i], expected_v[i]), (block_bytes, layer.name)
+                assert np.array_equal(layer.weight, expected_w[i]), (block_bytes, layer.name)
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES[:2])
+def test_fit_final_weights_do_not_depend_on_the_update_block_size(block_bytes, monkeypatch):
+    data = two_spirals(samples=96, noise=0.01, seed=8)
+    cfg = small_config(epochs=3, schedule=Schedule(0, 2))
+    runs = []
+    for size in (training.UPDATE_BLOCK_BYTES, block_bytes):
+        monkeypatch.setattr(training, "UPDATE_BLOCK_BYTES", size)
+        model = fresh_model(seed=9, sizes=(2, 32, 32, 2))
+        result = training.fit(model, data, cfg)
+        runs.append([l.weight.tobytes() + l.bias.tobytes() for l in model.layers] + [v.tobytes() for v in result.velocity.w])
+    assert runs[0] == runs[1]
 
 
 def test_sr_ste_step_leaves_gradients_unchanged():
