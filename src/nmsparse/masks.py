@@ -319,8 +319,8 @@ def build_masks(
 ) -> tuple[HardMask, np.ndarray]:
     """One full mask pass for a layer: hard mask, both axis queries, soft mask.
 
-    Both axis queries read ``w.magnitudes``, one |w| pass. When the filter
-    scores' block layout is a view of their buffer (a 1x1 layer), the soft
+    Both axis queries read ``w.magnitudes``, one |w| pass. For a 1x1 layer,
+    whose filter scores' block layout is a view of their buffer, the soft
     mask is built in that buffer.
     """
     bm = rearrange_to_blocks(w, pattern.m)
@@ -332,5 +332,5 @@ def build_masks(
         raise ValueError(f"unknown mask mode {mode!r}")
     sf = filter_axis_scores(w, pattern, tau)
     sk = kernel_axis_scores(w, pattern, tau)
-    blocks = block_layout(sf, pattern.m)
-    return hard, soft_mask(hard, sf, sk, out=blocks if np.may_share_memory(blocks, sf) else None)
+    out = block_layout(sf, pattern.m) if w.dims[2:] == (1, 1) else None  # a view of sf's buffer
+    return hard, soft_mask(hard, sf, sk, out=out)
