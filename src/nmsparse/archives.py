@@ -87,6 +87,8 @@ def _read_folded(data) -> FoldedModel:
         weight, bias = data[f"w_{entry['name']}"], data[f"b_{entry['name']}"]
         _check_record(entry, weight.shape)
         nn.check_layer(entry["name"], entry["kind"], weight.shape, bias.shape, entry["stride"], entry["padding"])
+        if not np.isfinite(bias).all():
+            raise ValueError(f"layer {entry['name']!r}: bias holds NaN or Inf")
         layers.append(FoldedLayer(entry["name"], entry["kind"], WeightTensor4(weight), bias.copy(),
                                   entry["eligible"], entry["stride"], entry["padding"]))
     pattern = manifest.get("pattern")

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import FieldError
+
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
@@ -30,38 +32,41 @@ def two_spirals(samples: int = 2000, noise: float = 0.02, seed: int = 0) -> Data
 
     ``noise`` is the standard deviation of the positional jitter.
     """
-    rng = np.random.default_rng(seed)
-    per_class = samples // 2
-    xs, ys = [], []
+    if not 0.0 <= noise < np.inf:  # also rejects NaN
+        raise FieldError("noise", f"noise must be finite and nonnegative, got {noise}")
     turns = 1.75
-    for cls in (0, 1):
-        k = per_class if cls == 0 else samples - per_class
+
+    def spiral(rng, cls, k):
         theta = np.sqrt(rng.uniform(size=k)) * turns * 2.0 * np.pi
         r = theta / (turns * 2.0 * np.pi)
         px = r * np.cos(theta + np.pi * cls) + rng.normal(scale=noise, size=k)
         py = r * np.sin(theta + np.pi * cls) + rng.normal(scale=noise, size=k)
-        xs.append(np.stack([px, py], axis=1))
-        ys.append(np.full(k, cls, dtype=np.int64))
-    X = np.concatenate(xs)
-    y = np.concatenate(ys)
-    order = rng.permutation(samples)
-    return Dataset(X[order], y[order], num_classes=2)
+        return np.stack([px, py], axis=1)
+
+    return _two_classes(samples, seed, spiral)
 
 
 def two_gaussians(samples: int = 1000, separation: float = 2.0, seed: int = 0) -> Dataset:
     """Two Gaussian blobs at (+-separation/2, 0)."""
-    rng = np.random.default_rng(seed)
-    per_class = samples // 2
     half = separation / 2.0
-    xs, ys = [], []
-    for cls, cx in ((0, -half), (1, half)):
-        k = per_class if cls == 0 else samples - per_class
+
+    def blob(rng, cls, k):
         pts = rng.normal(size=(k, 2))
-        pts[:, 0] += cx
-        xs.append(pts)
-        ys.append(np.full(k, cls, dtype=np.int64))
-    X = np.concatenate(xs)
-    y = np.concatenate(ys)
+        pts[:, 0] += half if cls else -half
+        return pts
+
+    return _two_classes(samples, seed, blob)
+
+
+def _two_classes(samples: int, seed: int, draw) -> Dataset:
+    """samples // 2 points of class 0 and the rest of class 1, each class
+    drawn by ``draw(rng, cls, count)`` in turn, then shuffled."""
+    if samples < 1:
+        raise FieldError("samples", f"need at least one sample, got {samples}")
+    rng = np.random.default_rng(seed)
+    counts = (samples // 2, samples - samples // 2)
+    X = np.concatenate([draw(rng, cls, k) for cls, k in enumerate(counts)])
+    y = np.repeat(np.arange(2, dtype=np.int64), counts)
     order = rng.permutation(samples)
     return Dataset(X[order], y[order], num_classes=2)
 
@@ -145,4 +150,7 @@ def build(spec: dict) -> Dataset:
     kind = rest.pop("kind", None)
     if kind not in BUILDERS:
         raise ValueError(f"unknown dataset kind {kind!r}")
-    return BUILDERS[kind](**rest)
+    try:
+        return BUILDERS[kind](**rest)
+    except FieldError as exc:
+        raise ValueError(f"dataset.{exc.field}: {exc}") from None

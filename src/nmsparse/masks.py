@@ -101,8 +101,17 @@ class ImportanceParams:
     def __post_init__(self):
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"sparse rate must lie in [0, 1), got {self.p}")
-        if not self.tau > 0.0:
-            raise ValueError(f"temperature must be positive, got {self.tau}")
+        _check_tau(self.tau)
+
+
+def _check_tau(tau: float) -> None:
+    if not tau > 0.0:  # also rejects NaN
+        raise ValueError(f"temperature must be positive, got {tau}")
+
+
+def _check_delta(delta: float) -> None:
+    if not 0.0 <= delta <= 1.0:  # also rejects NaN
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
 
 
 def _ranks(cols: np.ndarray) -> np.ndarray:
@@ -152,6 +161,7 @@ def select_sparsify_blocks(
     l1_descending picks the largest-norm blocks first; l1_ascending is the
     inverse strategy. Norm ties go to the lowest block index.
     """
+    _check_delta(delta)
     return np.flatnonzero(_chosen_blocks(np.asarray(norms, dtype=np.float64), delta, ordering)).astype(np.int64)
 
 
@@ -159,8 +169,6 @@ def _chosen_blocks(norms: np.ndarray, delta: float, ordering: str) -> np.ndarray
     """Boolean over blocks: the ceil(G*delta) that ``select_sparsify_blocks`` picks."""
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
     count = math.ceil(norms.size * delta)
     if count == 0:
         return np.zeros(norms.size, dtype=bool)
@@ -187,6 +195,7 @@ def hard_mask(
         raise ValueError(f"unknown ordering {ordering!r}")
     if bm.values.shape[1] != pattern.m:
         raise DimensionError(f"block width {bm.values.shape[1]} does not match pattern {pattern}")
+    _check_delta(delta)
     if delta == 0.0:
         return HardMask(np.ones(bm.values.shape, dtype=np.uint8))
     cols = _columns(bm)
@@ -212,8 +221,7 @@ def kept_width_from_delta(delta: float, pattern: SparsePattern) -> int:
 
     Rounding is half away from zero so the ramp hits its midpoint eagerly.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    _check_delta(delta)
     x = delta * (pattern.m - pattern.n)
     return pattern.m - int(math.floor(x + 0.5))
 
@@ -245,6 +253,7 @@ def _row_thresholds(mags: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray,
 def _row_scores(mags: np.ndarray, p: float, tau: float) -> np.ndarray:
     """sigmoid((mags - row midpoint) / tau) for a (rows, L) magnitude array,
     computed in one scratch array that first holds the partitioned copy."""
+    _check_tau(tau)
     buf = mags.copy()
     _, _, sigma = _row_thresholds(buf, p)
     np.subtract(mags, sigma[:, None], out=buf)

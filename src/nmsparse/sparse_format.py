@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import struct
-import time
+import timeit
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,43 +300,15 @@ def verify(w: WeightTensor4, pattern: SparsePattern) -> ComplianceReport:
     )
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    csr_seconds: float
-    dense_seconds: float
-    flop_reduction: float
-
-    @property
-    def speedup(self) -> float:
-        """Dense time over CSR time: above 1 where CSR would beat the dense product spmm uses."""
-        return self.dense_seconds / self.csr_seconds if self.csr_seconds > 0 else float("inf")
-
-
-def bench(c: CompressedNM, x: np.ndarray, repetitions: int = 5) -> BenchReport:
-    """Best-of-N wall time of a CSR product and of spmm's dense product on the same data.
-
-    ``flop_reduction`` is that of the CSR product, which reads only stored
-    slots; the dense product does the full work.
-    """
+def bench(c: CompressedNM, x: np.ndarray, repetitions: int = 5) -> tuple[float, float]:
+    """Best-of-N wall time, after one warm-up call, of a CSR product and of
+    spmm's dense product on the same data: ``(csr_seconds, dense_seconds)``."""
     if repetitions < 1:
         raise ValueError("need at least one repetition")
     x = np.asarray(x, dtype=np.float64)
-    best = {}
-    for name, op in (("csr", _csr_matrix(c)), ("dense", c.operator())):
+
+    def best(op) -> float:
         op @ x  # warm up
-        best[name] = min(_timed(lambda: op @ x) for _ in range(repetitions))
-    rows, inner = c.matrix_shape
-    cols = 1 if x.ndim == 1 else x.shape[1]
-    dense_flops = 2.0 * rows * inner * cols
-    sparse_flops = 2.0 * c.g * c.pattern.n * cols
-    return BenchReport(
-        csr_seconds=best["csr"],
-        dense_seconds=best["dense"],
-        flop_reduction=dense_flops / sparse_flops,
-    )
+        return min(timeit.repeat(lambda: op @ x, repeat=repetitions, number=1))
 
-
-def _timed(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+    return best(_csr_matrix(c)), best(c.operator())

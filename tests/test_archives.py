@@ -205,6 +205,7 @@ ILL_TYPED_MANIFESTS = {
     "npz_string_eligible": ("folded_npz", _edit_layer0(eligible="no")),
     "npz_dims_unlike_weight": ("folded_npz", _edit_layer0(dims=[4, 4, 1, 1])),
     "npz_short_bias": ("folded_npz", lambda _, arrays: arrays.update(b_fc0=arrays["b_fc0"][:3])),
+    "npz_nan_bias": ("folded_npz", lambda _, arrays: arrays.update(b_fc0=np.full_like(arrays["b_fc0"], np.nan))),
     "npz_listed_manifest": ("folded_npz", lambda m, _: [m]),
     "npz_compressed_format": ("folded_npz", lambda m, _: m.update(format="nmsparse-compressed")),
     "nmz_null_layers": ("stored_nmz", lambda m, _: m.update(layers=None)),

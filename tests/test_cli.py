@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import struct
 import warnings
@@ -63,8 +64,9 @@ def test_train_fold_verify_compress_bench_pipeline(run_dir, tmp_path, capsys):
 
     csv_out = tmp_path / "bench.csv"
     assert main(["bench", "--archive", str(archive_path), "--reps", "2", "--sizes", "8", "--csv", str(csv_out)]) == 0
-    assert csv_out.exists()
-    assert "flop_reduction" in csv_out.read_text().splitlines()[0]
+    header, *rows = [line.split(",") for line in csv_out.read_text().splitlines()]
+    assert header == ["layer", "shape", "cols", "csr_ms", "dense_ms", "speedup", "flop_reduction"]
+    assert rows and all(row[-1] == "2.00" for row in rows)  # m/n at 2:4
 
 
 def test_verify_exit_code_nonzero_on_violations(tmp_path, capsys):
@@ -305,6 +307,10 @@ MALFORMED_CONFIGS = {
     "fractional_t_f": lambda doc, _: (_set(doc, "schedule", "t_f", 2.5), "schedule.t_f"),
     "misspelt_dataset_key": lambda doc, _: (_set(doc, "dataset", "sampels", 500), "sampels"),
     "string_samples": lambda doc, _: (_set(doc, "dataset", "samples", "200"), "dataset.samples"),
+    "zero_samples": lambda doc, _: (_set(doc, "dataset", "samples", 0), "dataset.samples: "),
+    "negative_samples": lambda doc, _: (_set(doc, "dataset", "samples", -5), "dataset.samples: "),
+    "negative_noise": lambda doc, _: (_set(doc, "dataset", "noise", -1), "dataset.noise: "),
+    "infinite_noise": lambda doc, _: (_set(doc, "dataset", "noise", math.inf), "dataset.noise: "),
     "null_trainer": lambda doc, _: ({**doc, "trainer": None}, "trainer"),
     "top_level_list": lambda doc, _: ([doc], "config"),
     "csv_short_row": lambda doc, tmp: _csv_dataset(doc, tmp, "x,y,label\n0.5,1.0,0\n0.25,1\n", "{path} line 3"),

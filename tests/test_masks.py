@@ -540,6 +540,33 @@ def test_build_masks_and_axis_queries_leave_the_weights_and_share_no_memory(dims
     assert values.tobytes() == saved
 
 
+@pytest.mark.parametrize("delta", [-0.5, 1.5, math.nan])
+@pytest.mark.parametrize("mode", ["block_percentage", "block_width"])
+def test_build_masks_rejects_delta_outside_the_unit_interval(mode, delta):
+    w = WeightTensor4(np.random.default_rng(21).normal(size=(4, 8, 1, 1)))
+    pattern = SparsePattern(2, 4)
+    checks = [lambda: build_masks(w, pattern, 0.1, delta=delta, mode=mode)]
+    if mode == "block_percentage":
+        checks += [lambda: hard_mask(rearrange_to_blocks(w, 4), pattern, delta),
+                   lambda: select_sparsify_blocks(np.ones(8), delta)]
+    else:
+        checks.append(lambda: kept_width_from_delta(delta, pattern))
+    for check in checks:
+        with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\]"):
+            check()
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.1, math.nan])
+def test_mask_queries_reject_a_temperature_that_is_not_positive(tau):
+    # tau = 0 divides by zero, tau < 0 boosts the smaller kept weights, NaN poisons the soft mask
+    w = WeightTensor4(np.random.default_rng(22).normal(size=(4, 8, 3, 3)))
+    pattern = SparsePattern(2, 4)
+    queries = (filter_axis_scores, kernel_axis_scores, lambda w, p, t: build_masks(w, p, t, delta=0.5))
+    for query in queries:
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            query(w, pattern, tau)
+
+
 def test_soft_mask_shape_mismatch_raises():
     rng = np.random.default_rng(14)
     w = WeightTensor4(rng.normal(size=(2, 4, 1, 1)))

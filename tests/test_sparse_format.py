@@ -496,13 +496,11 @@ def test_verify_counts_match_popcount_oracle():
 
 # ------------------------------------------------------------------- bench
 
-def test_bench_reports_timings_and_flop_reduction():
+def test_bench_reports_both_timings():
     rng = np.random.default_rng(12)
     pattern = SparsePattern(2, 4)
     w = masked_tensor(rng, (32, 32, 1, 1), pattern)
     c = compress(w, pattern)
     x = rng.uniform(-1.0, 1.0, size=(32, 16))
-    report = bench(c, x, repetitions=2)
-    assert report.csr_seconds > 0 and report.dense_seconds > 0
-    assert report.flop_reduction == pytest.approx(4 / 2)
-    assert report.speedup > 0
+    csr_seconds, dense_seconds = bench(c, x, repetitions=2)
+    assert csr_seconds > 0 and dense_seconds > 0
