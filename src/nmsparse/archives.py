@@ -80,27 +80,27 @@ def load_folded_archive(path: str | Path) -> FoldedModel:
 
 def _read_folded(data) -> FoldedModel:
     manifest = json.loads(bytes(data["manifest"]).decode())
-    if manifest.get("format") != "nmsparse-folded":
-        raise ValueError("not a folded-weight archive")
+    if manifest.get("format") != "nmsparse-folded" or manifest.get("version") != 1:
+        raise ValueError("not a version 1 folded-weight archive")
     layers = []
     for entry in manifest["layers"]:
         weight, bias = data[f"w_{entry['name']}"], data[f"b_{entry['name']}"]
-        _check_record(entry, weight.shape)
-        nn.check_layer(entry["name"], entry["kind"], weight.shape, bias.shape, entry["stride"], entry["padding"])
+        _check_record(entry, weight.shape, bias.shape)
         if not np.isfinite(bias).all():
             raise ValueError(f"layer {entry['name']!r}: bias holds NaN or Inf")
-        layers.append(FoldedLayer(entry["name"], entry["kind"], WeightTensor4(weight), bias.copy(),
+        layers.append(FoldedLayer(entry["name"], entry["kind"], WeightTensor4(weight), bias,
                                   entry["eligible"], entry["stride"], entry["padding"]))
     pattern = manifest.get("pattern")
     return FoldedModel(layers, None if pattern is None else SparsePattern.parse(pattern))
 
 
-def _check_record(entry: dict, shape: tuple) -> None:
-    """What only a manifest can get wrong; the layer itself goes through ``nn.check_layer``."""
+def _check_record(entry: dict, shape: tuple, bias_shape: tuple | None) -> None:
+    """A manifest entry against the stored weight, then the layer through ``nn.check_layer``."""
     if entry["dims"] != list(shape):
         raise ValueError(f"layer {entry['name']!r}: manifest dims {entry['dims']} but the stored weight is {list(shape)}")
     if type(entry["eligible"]) is not bool:
         raise ValueError(f"layer {entry['name']!r}: eligible must be true or false, got {entry['eligible']!r}")
+    nn.check_layer(entry["name"], entry["kind"], shape, bias_shape, entry["stride"], entry["padding"])
 
 
 def save_compressed_archive(path: str | Path, folded: FoldedModel, pattern: SparsePattern) -> None:
@@ -132,15 +132,14 @@ def load_compressed_archive(path: str | Path) -> list[tuple[dict, CompressedNM |
 
 def _read_compressed(zf: zipfile.ZipFile) -> list[tuple[dict, CompressedNM | np.ndarray]]:
     manifest = json.loads(zf.read("manifest.json").decode())
-    if manifest.get("format") != "nmsparse-compressed":
-        raise ValueError("not a compressed archive")
+    if manifest.get("format") != "nmsparse-compressed" or manifest.get("version") != 1:
+        raise ValueError("not a version 1 compressed archive")
     out = []
     for entry in manifest["layers"]:
         blob = zf.read(entry["file"])
         zf.getinfo(entry["bias_file"])  # present; callers that serve the layer read it themselves
         payload = CompressedNM.from_bytes(blob) if entry["file"].endswith(".nmsp") else np.load(io.BytesIO(blob))
         shape = payload.origin_dims if isinstance(payload, CompressedNM) else payload.shape
-        _check_record(entry, shape)
-        nn.check_layer(entry["name"], entry["kind"], shape, None, entry["stride"], entry["padding"])
+        _check_record(entry, shape, None)
         out.append((entry, payload))
     return out

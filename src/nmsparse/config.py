@@ -5,9 +5,9 @@ The schema is the declarations themselves: the fields of ``RunConfig``,
 ``dataset`` section the signature of the builder its ``kind`` names in
 ``datasets.BUILDERS``. A key without a default is required, unknown keys are
 rejected, and every value must have its field's JSON type (an int is taken
-where a float is declared; a bool is never a number). ``pattern`` may be null
-for a dense baseline run. Parsing, serializing, and re-parsing a config is
-the identity.
+where a float is declared, a float must be finite, and a bool is never a
+number). ``pattern`` may be null for a dense baseline run. Parsing,
+serializing, and re-parsing a config is the identity.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import functools
 import inspect
 import json
 import reprlib
+import sys
 import types
 import typing
 from dataclasses import dataclass, fields, is_dataclass
@@ -121,8 +122,7 @@ def _checked_kwargs(owner, doc, key: str) -> dict:
     kwargs = {}
     for name, (required, shape) in schema.items():
         if name in doc:
-            value = doc[name]
-            kwargs[name] = value if type(value) is shape[1] else _value(prefix + name, value, shape)
+            kwargs[name] = _value(prefix + name, doc[name], shape)
         elif required:
             raise ValueError(f"{prefix}{name}: required key missing")
     return kwargs
@@ -130,12 +130,14 @@ def _checked_kwargs(owner, doc, key: str) -> dict:
 
 def _value(key: str, value, shape):
     nullable, base, elem = shape
+    if base is float and type(value) in (int, float):
+        if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int too large for a float
+            raise ValueError(f"{key}: expected a finite number, got {reprlib.repr(value)}")
+        return float(value)
     if type(value) is base:
         return value
     if value is None and nullable:
         return None
-    if base is float and type(value) is int:
-        return float(value)
     if base is tuple and type(value) is list:
         return tuple(_value(f"{key}[{i}]", v, (False, elem, None)) for i, v in enumerate(value))
     if is_dataclass(base) and type(value) is dict:

@@ -63,6 +63,8 @@ def _two_classes(samples: int, seed: int, draw) -> Dataset:
     drawn by ``draw(rng, cls, count)`` in turn, then shuffled."""
     if samples < 1:
         raise FieldError("samples", f"need at least one sample, got {samples}")
+    if seed < 0:
+        raise FieldError("seed", f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     counts = (samples // 2, samples - samples // 2)
     X = np.concatenate([draw(rng, cls, k) for cls, k in enumerate(counts)])

@@ -56,6 +56,4 @@ def col2im(
     for i in range(k_h):
         for j in range(k_w):
             out[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += patches[:, :, i, j]
-    if padding:
-        out = out[:, :, padding : padding + h, padding : padding + w]
-    return out
+    return out[:, :, padding : padding + h, padding : padding + w]

@@ -60,8 +60,6 @@ def _pack_indices(indices: np.ndarray, bits: int) -> np.ndarray:
     for s in range(1, k):
         part = indices[:, s::k]
         acc[:, : part.shape[1]] |= np.left_shift(part, s * bits, dtype=acc_type)
-    if chunk_bytes == 1:
-        return acc
     chunks = acc.shape[1]
     field = acc.view(np.uint8).reshape(g, chunks, acc_type.itemsize)[:, :, :chunk_bytes]
     return field.reshape(g, chunks * chunk_bytes)[:, : (n * bits + 7) // 8]
@@ -71,15 +69,12 @@ def _unpack_indices(field: np.ndarray, n: int, bits: int) -> np.ndarray:
     """Inverse of :func:`_pack_indices`; the bits above n*bits are ignored."""
     g, field_bytes = field.shape
     k, chunk_bytes, acc_type = _index_chunk(bits)
-    if chunk_bytes == 1:
-        acc = field
-    else:
-        chunks, full = -(-n // k), field_bytes // chunk_bytes
-        padded = np.zeros((g, chunks, acc_type.itemsize), dtype=np.uint8)
-        padded[:, :full, :chunk_bytes] = field[:, : full * chunk_bytes].reshape(g, full, chunk_bytes)
-        # a partial last chunk holds only the bytes left in the field
-        padded[:, full:, : field_bytes - full * chunk_bytes] = field[:, None, full * chunk_bytes :]
-        acc = padded.view(acc_type).reshape(g, chunks)
+    chunks, full = -(-n // k), field_bytes // chunk_bytes
+    padded = np.zeros((g, chunks, acc_type.itemsize), dtype=np.uint8)
+    padded[:, :full, :chunk_bytes] = field[:, : full * chunk_bytes].reshape(g, full, chunk_bytes)
+    # a partial last chunk holds only the bytes left in the field
+    padded[:, full:, : field_bytes - full * chunk_bytes] = field[:, None, full * chunk_bytes :]
+    acc = padded.view(acc_type).reshape(g, chunks)
     out = np.empty((g, n), dtype=np.uint8)
     for s in range(k):
         part = out[:, s::k]

@@ -74,6 +74,8 @@ class TrainConfig(Hyperparameters):
         super().__post_init__()
         if not self.tau > 0:
             raise FieldError("tau", "temperature must be positive")
+        if self.seed < 0:
+            raise FieldError("seed", f"seed must be nonnegative, got {self.seed}")
         if self.pattern is not None and self.schedule is None:
             raise FieldError("schedule", "a sparse pattern needs a schedule")
 

@@ -208,9 +208,11 @@ ILL_TYPED_MANIFESTS = {
     "npz_nan_bias": ("folded_npz", lambda _, arrays: arrays.update(b_fc0=np.full_like(arrays["b_fc0"], np.nan))),
     "npz_listed_manifest": ("folded_npz", lambda m, _: [m]),
     "npz_compressed_format": ("folded_npz", lambda m, _: m.update(format="nmsparse-compressed")),
+    "npz_version_2": ("folded_npz", lambda m, _: m.update(version=2)),
     "nmz_null_layers": ("stored_nmz", lambda m, _: m.update(layers=None)),
     "nmz_listed_manifest": ("stored_nmz", lambda m, _: [m]),
     "nmz_folded_format": ("stored_nmz", lambda m, _: m.update(format="nmsparse-folded")),
+    "nmz_version_2": ("stored_nmz", lambda m, _: m.update(version=2)),
     "nmz_bogus_kind": ("stored_nmz", _edit_layer0(kind="bogus")),
     "nmz_dims_unlike_payload": ("stored_nmz", _edit_layer0(dims=[99, 1, 1, 1])),
     "nmz_missing_bias": ("stored_nmz", _edit_layer0(bias_file="missing.npy")),

@@ -331,6 +331,18 @@ MALFORMED_CONFIGS = {
     "negative_t_i": lambda doc, _: (_set(doc, "schedule", "t_i", -1), "schedule.t_i: "),
     "pattern_n_above_m": lambda doc, _: ({**doc, "pattern": {"n": 5, "m": 4}}, "pattern.n: need 1 <= n < m"),
     "idx_zero_width": lambda doc, tmp: _idx_dataset(doc, tmp, width=0),
+    "nan_weight_decay": lambda doc, _: (
+        _set(doc, "trainer", "weight_decay", math.nan), "trainer.weight_decay: expected a finite number, got nan"
+    ),
+    "infinite_learning_rate": lambda doc, _: (_set(doc, "trainer", "learning_rate", math.inf), "trainer.learning_rate: "),
+    "nan_sr_ste_weight": lambda doc, _: (_set(doc, "trainer", "sr_ste_weight", math.nan), "trainer.sr_ste_weight: "),
+    "nan_separation": lambda doc, _: (
+        {**doc, "dataset": {"kind": "two_gaussians", "samples": 64, "separation": math.nan}}, "dataset.separation: "
+    ),
+    "infinite_tau": lambda doc, _: ({**doc, "tau": math.inf}, "tau: "),
+    "huge_integer_tau": lambda doc, _: ({**doc, "tau": 10**400}, "tau: expected a finite number"),
+    "negative_seed": lambda doc, _: ({**doc, "seed": -1}, "seed: seed must be nonnegative"),
+    "negative_dataset_seed": lambda doc, _: (_set(doc, "dataset", "seed", -1), "dataset.seed: "),
 }
 
 
