@@ -80,8 +80,7 @@ def load_folded_archive(path: str | Path) -> FoldedModel:
 
 def _read_folded(data) -> FoldedModel:
     manifest = json.loads(bytes(data["manifest"]).decode())
-    if manifest.get("format") != "nmsparse-folded" or manifest.get("version") != 1:
-        raise ValueError("not a version 1 folded-weight archive")
+    _check_header(manifest, "nmsparse-folded", "folded-weight archive")
     layers = []
     for entry in manifest["layers"]:
         weight, bias = data[f"w_{entry['name']}"], data[f"b_{entry['name']}"]
@@ -94,9 +93,16 @@ def _read_folded(data) -> FoldedModel:
     return FoldedModel(layers, None if pattern is None else SparsePattern.parse(pattern))
 
 
+def _check_header(manifest: dict, fmt: str, what: str) -> None:
+    """The manifest's format, and a version that is the JSON integer 1 (Python takes ``true`` and ``1.0`` as 1)."""
+    version = manifest.get("version")
+    if manifest.get("format") != fmt or type(version) is not int or version != 1:
+        raise ValueError(f"not a version 1 {what}")
+
+
 def _check_record(entry: dict, shape: tuple, bias_shape: tuple | None) -> None:
     """A manifest entry against the stored weight, then the layer through ``nn.check_layer``."""
-    if entry["dims"] != list(shape):
+    if entry["dims"] != list(shape) or any(type(d) is not int for d in entry["dims"]):
         raise ValueError(f"layer {entry['name']!r}: manifest dims {entry['dims']} but the stored weight is {list(shape)}")
     if type(entry["eligible"]) is not bool:
         raise ValueError(f"layer {entry['name']!r}: eligible must be true or false, got {entry['eligible']!r}")
@@ -132,8 +138,7 @@ def load_compressed_archive(path: str | Path) -> list[tuple[dict, CompressedNM |
 
 def _read_compressed(zf: zipfile.ZipFile) -> list[tuple[dict, CompressedNM | np.ndarray]]:
     manifest = json.loads(zf.read("manifest.json").decode())
-    if manifest.get("format") != "nmsparse-compressed" or manifest.get("version") != 1:
-        raise ValueError("not a version 1 compressed archive")
+    _check_header(manifest, "nmsparse-compressed", "compressed archive")
     out = []
     for entry in manifest["layers"]:
         blob = zf.read(entry["file"])

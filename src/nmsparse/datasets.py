@@ -96,12 +96,15 @@ def from_csv(path: str | Path, label_column: str) -> Dataset:
 
 
 def _cell(kind: type, text: str, where: str, column: str):
-    """``kind(text)``, or one ValueError naming the file, line and column."""
+    """``kind(text)``, or one ValueError naming the file, line and column; a feature must be finite."""
     try:
-        return kind(text)
+        value = kind(text)
+        if kind is int or np.isfinite(value):
+            return value
     except ValueError:
-        expected = "an integer label" if kind is int else "a number"
-        raise ValueError(f"{where} column {column!r}: expected {expected}, got {text!r}") from None
+        pass
+    expected = "an integer label" if kind is int else "a finite number"
+    raise ValueError(f"{where} column {column!r}: expected {expected}, got {text!r}")
 
 
 def read_idx(path: str | Path) -> np.ndarray:

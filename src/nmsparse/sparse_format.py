@@ -230,21 +230,8 @@ def decompress(c: CompressedNM) -> WeightTensor4:
 
 
 def _csr_matrix(c: CompressedNM) -> sparse.csr_matrix:
-    """The (c_out, c_in*k_h*k_w) matrix view in CSR form, holding every stored slot.
-
-    :func:`bench` times it against :meth:`CompressedNM.operator`.
-    """
-    n, m = c.pattern.n, c.pattern.m
-    c_out, c_in, k_h, k_w = c.origin_dims
-    # a slot's column depends only on its block's place within the filter
-    flat = np.arange(c_in * k_h * k_w).reshape(1, c_in, k_h, k_w)
-    slot_cols = block_layout(flat, m)[None]
-    blocks_per_filter = c_in // m * k_h * k_w
-    per_filter = c.indices.reshape(c_out, blocks_per_filter, n).astype(np.intp)
-    cols = np.take_along_axis(slot_cols, per_filter, axis=2)
-    indptr = np.arange(c_out + 1) * (blocks_per_filter * n)
-    data = c.values.astype(np.float64).ravel()
-    return sparse.csr_matrix((data, cols.ravel(), indptr), shape=c.matrix_shape)
+    """The nonzeros of :meth:`CompressedNM.operator` in CSR form, which :func:`bench` times against it."""
+    return sparse.csr_matrix(c.operator())
 
 
 def spmm(c: CompressedNM, x: np.ndarray) -> np.ndarray:
@@ -252,7 +239,7 @@ def spmm(c: CompressedNM, x: np.ndarray) -> np.ndarray:
 
     The product is a dense f64 GEMM through the tensor's cached
     :meth:`CompressedNM.operator` at every pattern: without N:M hardware
-    support, a BLAS GEMM beats a scipy CSR product of the stored slots
+    support, a BLAS GEMM beats a scipy CSR product of the nonzero weights
     wherever n/m >= 1/4 (the README's kernel table has the measurements).
     """
     x = np.asarray(x, dtype=np.float64)

@@ -217,6 +217,9 @@ ILL_TYPED_MANIFESTS = {
     "nmz_dims_unlike_payload": ("stored_nmz", _edit_layer0(dims=[99, 1, 1, 1])),
     "nmz_missing_bias": ("stored_nmz", _edit_layer0(bias_file="missing.npy")),
     "nmz_flat_dense": ("stored_nmz", _flatten_dense_layer1),
+    "npz_bool_version": ("folded_npz", lambda m, _: m.update(version=True)),  # True == 1 in Python
+    "nmz_float_version": ("stored_nmz", lambda m, _: m.update(version=1.0)),
+    "nmz_float_dims": ("stored_nmz", _edit_layer0(dims=[4.0, 8.0, 1.0, 1.0])),
 }
 
 

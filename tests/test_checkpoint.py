@@ -294,6 +294,7 @@ BAD_COUNTERS_OR_METRICS = {
     "short_row": (2, lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0]], "metrics line 3 has"),
     "long_row": (2, lambda lines: [lines[0], lines[1] + ",1.0", lines[2]], "metrics line 2 has"),
     "unknown_layer_column": (2, lambda lines: [lines[0].rsplit(",", 1)[0] + ",sparsity_zz", *lines[1:]], "sparsity_zz"),
+    "repeated_column": (2, lambda lines: [lines[0] + ",loss", *[line + ",0.1" for line in lines[1:]]], "repeats a column"),
 }
 
 

@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from nmsparse.archives import (
 from nmsparse.cli import main
 from nmsparse.masks import SparsePattern
 from test_archives import as_folded, small_folded_model
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -67,6 +73,28 @@ def test_train_fold_verify_compress_bench_pipeline(run_dir, tmp_path, capsys):
     header, *rows = [line.split(",") for line in csv_out.read_text().splitlines()]
     assert header == ["layer", "shape", "cols", "csr_ms", "dense_ms", "speedup", "flop_reduction"]
     assert rows and all(row[-1] == "2.00" for row in rows)  # m/n at 2:4
+
+
+def test_dense_baseline_run_folds_verifies_and_compresses_nothing(run_dir, tmp_path, capsys):
+    cfg_path, out = run_dir
+    doc = json.loads(cfg_path.read_text())
+    cfg_path.write_text(json.dumps({**_set(doc, "trainer", "epochs", 2), "pattern": None}))
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    folded_path, archive_path = tmp_path / "folded.npz", tmp_path / "model.nmz"
+    assert main(["fold", "--ckpt", str(out / "checkpoint.maxq"), "--out", str(folded_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--weights", str(folded_path), "--pattern", "2:4"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:5]
+    assert [row.split() for row in rows] == [[name, "-", "-", "dense"] for name in ("fc0", "fc1", "fc2")]
+    assert main(["compress", "--weights", str(folded_path), "--pattern", "2:4", "--out", str(archive_path)]) == 0
+    assert "compressed 0 eligible layers" in capsys.readouterr().out
+    # the last step runs as ``python -m nmsparse``, through ``__main__.py``
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nmsparse", "bench", "--archive", str(archive_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "archive holds no compressed layers\n", "")
 
 
 def test_verify_exit_code_nonzero_on_violations(tmp_path, capsys):
@@ -343,6 +371,12 @@ MALFORMED_CONFIGS = {
     "huge_integer_tau": lambda doc, _: ({**doc, "tau": 10**400}, "tau: expected a finite number"),
     "negative_seed": lambda doc, _: ({**doc, "seed": -1}, "seed: seed must be nonnegative"),
     "negative_dataset_seed": lambda doc, _: (_set(doc, "dataset", "seed", -1), "dataset.seed: "),
+    "csv_nan_feature": lambda doc, tmp: _csv_dataset(
+        doc, tmp, "x,y,label\n0.5,1.0,0\nnan,1.0,1\n", "{path} line 3 column 'x': expected a finite number, got 'nan'"
+    ),
+    "csv_inf_feature": lambda doc, tmp: _csv_dataset(
+        doc, tmp, "x,y,label\n0.5,-inf,0\n", "{path} line 2 column 'y': expected a finite number, got '-inf'"
+    ),
 }
 
 
