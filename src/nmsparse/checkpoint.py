@@ -1,11 +1,11 @@
 """Binary training checkpoints.
 
-Layout (little-endian): magic ``MAXQCKPT``, version u16, section count u32,
-then length-prefixed sections, each a 4-byte tag + u64 payload length.
-Sections: CFG (config JSON), CTR (epoch + iteration, at most the configured
-epochs), LYR (layer states with finite f64 weights, biases, and momentum
-buffers), MET (metrics CSV text: a header of ``training.metrics_header``
-columns, in its order, and one row per completed epoch).
+Layout (little-endian): magic ``MAXQCKPT``, version u16, section count u32 (4),
+then four sections in this order with nothing after the last, each a 4-byte tag +
+u64 payload length: CFG (config JSON), CTR (epoch + iteration, at most the
+configured epochs), LYR (layer states: an eligible byte of 0 or 1, finite f64
+weights, biases, and momentum buffers), MET (metrics CSV text: a header of
+``training.metrics_header`` columns, in its order, and one row per completed epoch).
 
 Reloading a checkpoint and resuming reproduces the bit-identical remainder
 of the run for the same seed: epoch shuffles are derived from (seed, epoch)
@@ -133,6 +133,8 @@ def _parse_layers(blob: memoryview) -> tuple[nn.Model, Velocity]:
         name = bytes(blob[off + 2 : off + 2 + name_len]).decode()
         off += 2 + name_len
         kind_code, eligible, stride, padding = struct.unpack_from("<BBHH", blob, off)
+        if eligible > 1:
+            raise ValueError(f"layer {name!r}: eligible byte must be 0 or 1, got {eligible}")
         off += 6
         weight, off = _read_array(blob, off)
         bias, off = _read_array(blob, off)
@@ -145,6 +147,8 @@ def _parse_layers(blob: memoryview) -> tuple[nn.Model, Velocity]:
         layers.append(nn.Layer(kind, name, weight, bias, stride, padding, bool(eligible)))
         vel_w.append(vw)
         vel_b.append(vb)
+    if off != len(blob):
+        raise ValueError(f"{len(blob) - off} bytes after the last layer of the layer section")
     return nn.Model(layers), Velocity(vel_w, vel_b)
 
 
@@ -175,25 +179,22 @@ def _parse_checkpoint(blob: bytes) -> Checkpoint:
     if blob[: len(MAGIC)] != MAGIC:
         raise ValueError("bad magic, not a checkpoint file")
     version, count = struct.unpack_from("<HI", blob, len(MAGIC))
-    if version != VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    off = len(MAGIC) + 6
-    sections: dict[bytes, memoryview] = {}
-    for _ in range(count):
-        tag = blob[off : off + 4]
+    if (version, count) != (VERSION, len(_SECTIONS)):
+        raise ValueError(f"version {version} with {count} sections, expected {VERSION} with {len(_SECTIONS)}")
+    off, sections = len(MAGIC) + 6, []
+    for tag in _SECTIONS:  # each starts where the previous one ends
+        if blob[off : off + 4] != tag:
+            raise ValueError(f"expected section {tag!r} at offset {off}, found {blob[off : off + 4]!r}")
         (length,) = struct.unpack_from("<Q", blob, off + 4)
-        off += 12
-        if off + length > len(blob):
-            raise ValueError(f"section {tag!r} at offset {off - 12} runs past the end of the file")
-        sections[tag] = view[off : off + length]
-        off += length
-    missing = [tag.decode().rstrip("\0") for tag in _SECTIONS if tag not in sections]
-    if missing:
-        raise ValueError(f"missing section(s) {', '.join(missing)}")
-    config = RunConfig.from_json(bytes(sections[b"CFG\x00"]).decode())
-    epoch, iteration = struct.unpack_from("<QQ", sections[b"CTR\x00"], 0)
-    model, velocity = _parse_layers(sections[b"LYR\x00"])
-    metrics_csv = bytes(sections[b"MET\x00"]).decode()
+        sections.append(view[off + 12 : off + 12 + length])
+        off += 12 + length
+    if off != len(blob):
+        raise ValueError(f"the sections end at offset {off} of a {len(blob)}-byte file")
+    cfg, ctr, lyr, met = sections
+    config = RunConfig.from_json(bytes(cfg).decode())
+    epoch, iteration = struct.unpack("<QQ", ctr)
+    model, velocity = _parse_layers(lyr)
+    metrics_csv = bytes(met).decode()
     rows = parse_metrics_csv(metrics_csv)
     if len(rows) != epoch:
         raise ValueError(f"{len(rows)} metrics rows for {epoch} completed epochs")

@@ -215,6 +215,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # e.g. a config whose sizes cannot be allocated
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -96,10 +96,10 @@ def from_csv(path: str | Path, label_column: str) -> Dataset:
 
 
 def _cell(kind: type, text: str, where: str, column: str):
-    """``kind(text)``, or one ValueError naming the file, line and column; a feature must be finite."""
+    """``kind(text)``, or one ValueError naming the file, line and column; features are finite, labels fit int64."""
     try:
         value = kind(text)
-        if kind is int or np.isfinite(value):
+        if (value < 2**63) if kind is int else np.isfinite(value):
             return value
     except ValueError:
         pass

@@ -211,16 +211,14 @@ def sr_ste_step(
     decay = np.array([float(config.sr_weight), wd])  # indexed by the hard mask: 0 -> sr, 1 -> wd
     for i, layer in enumerate(model.layers):
         w = layer.weight
-        bits = block_layout_inverse(masks[layer.name][0].bits, w.shape) if layer.name in masks else None
+        dense = np.broadcast_to(np.uint8(1), w.shape)  # a dense layer keeps every weight, so all decay by wd
+        bits = block_layout_inverse(masks[layer.name][0].bits, w.shape) if layer.name in masks else dense
         rows = max(1, UPDATE_BLOCK_BYTES * len(w) // w.nbytes)
         for start in range(0, len(w), rows):
             r = slice(start, start + rows)
             wr, vr = w[r], velocity.w[i][r]
-            if bits is None:
-                update = wr * wd
-            else:
-                update = np.take(decay, bits[r])
-                update *= wr
+            update = np.take(decay, bits[r])
+            update *= wr
             update += grads_w[i][r]
             vr *= config.momentum
             vr += update

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from nmsparse import datasets, nn, runner, training
-from nmsparse.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from nmsparse.checkpoint import MAGIC, VERSION, Checkpoint, load_checkpoint, save_checkpoint
 from nmsparse.cli import main
 from nmsparse.config import RunConfig
 from nmsparse.training import Velocity
@@ -231,6 +232,61 @@ def test_golden_checkpoint_bytes_and_owned_writable_arrays(tmp_path):
     arrays += loaded.velocity.w + loaded.velocity.b
     for a in arrays:
         assert a.flags.writeable and a.flags.owndata
+
+
+def _golden_sections() -> list[tuple[bytes, bytes]]:
+    """The golden file's (tag, payload) sections, in file order."""
+    blob = checkpoint_bytes(_golden_checkpoint())
+    sections, off = [], len(MAGIC) + 6
+    while off < len(blob):
+        (length,) = struct.unpack_from("<Q", blob, off + 4)
+        sections.append((blob[off : off + 4], blob[off + 12 : off + 12 + length]))
+        off += 12 + length
+    return sections
+
+
+def _layout(sections: list[tuple[bytes, bytes]], tail: bytes = b"") -> bytes:
+    """A .maxq file whose header counts ``sections``, then each section, then ``tail``."""
+    body = b"".join(tag + struct.pack("<Q", len(payload)) + payload for tag, payload in sections)
+    return MAGIC + struct.pack("<HI", VERSION, len(sections)) + body + tail
+
+
+def _padded(section: tuple[bytes, bytes], extra: int) -> tuple[bytes, bytes]:
+    tag, payload = section
+    return tag, payload + bytes(extra)
+
+
+def _eligible_byte(sections: list[tuple[bytes, bytes]], value: int) -> list[tuple[bytes, bytes]]:
+    """The sections with conv0's eligible byte, which follows its name and kind byte, set to ``value``."""
+    cfg, ctr, (tag, lyr), met = sections
+    at = lyr.index(b"conv0") + len(b"conv0") + 1
+    return [cfg, ctr, (tag, lyr[:at] + bytes([value]) + lyr[at + 1 :]), met]
+
+
+# name -> the golden file's (tag, payload) sections -> a layout save_checkpoint never writes
+MALFORMED_LAYOUTS = {
+    "bytes_after_met": lambda s: _layout(s, tail=bytes(4)),
+    "fifth_unknown_section": lambda s: _layout([*s, (b"XTR\x00", b"")]),
+    "reversed_sections": lambda s: _layout(s[::-1]),
+    "lyr_twice": lambda s: _layout([*s[:3], *s[2:]]),
+    "long_ctr": lambda s: _layout([s[0], _padded(s[1], 8), *s[2:]]),
+    "bytes_after_last_layer": lambda s: _layout([*s[:2], _padded(s[2], 3), s[3]]),
+    "eligible_byte_0x81": lambda s: _layout(_eligible_byte(s, 0x81)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LAYOUTS))
+def test_layouts_the_writer_never_makes_are_rejected_at_load(tmp_path, capsys, case):
+    sections = _golden_sections()
+    assert _layout(sections) == checkpoint_bytes(_golden_checkpoint())  # the edit alone makes the file malformed
+    path = tmp_path / "bad.maxq"
+    path.write_bytes(MALFORMED_LAYOUTS[case](sections))
+    with pytest.raises(ValueError, match="malformed checkpoint") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+    assert main(["train", "--resume", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: [^\n]*\n", err) and str(path) in err
 
 
 @pytest.mark.parametrize("array, shape", [("momentum w", (3, 3, 1, 1)), ("momentum b", (5,)), ("bias", (2,))])

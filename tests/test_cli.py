@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nmsparse import nn
+from nmsparse import datasets, nn
 from nmsparse.archives import (
     load_compressed_archive,
     load_folded_archive,
@@ -377,6 +377,10 @@ MALFORMED_CONFIGS = {
     "csv_inf_feature": lambda doc, tmp: _csv_dataset(
         doc, tmp, "x,y,label\n0.5,-inf,0\n", "{path} line 2 column 'y': expected a finite number, got '-inf'"
     ),
+    "csv_huge_label": lambda doc, tmp: _csv_dataset(
+        doc, tmp, "x,y,label\n0.5,1.0,0\n0.5,1.0,99999999999999999999\n",
+        "{path} line 3 column 'label': expected an integer label, got '99999999999999999999'",
+    ),
 }
 
 
@@ -389,6 +393,29 @@ def test_cli_malformed_config_is_one_error_line(case, run_dir, tmp_path, capsys)
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: [^\n]*\n", err)
     assert named in err
+    assert not out.exists()
+
+
+def _unable_to_allocate(*_):
+    raise MemoryError("Unable to allocate 16.0 TiB for an array with shape (1099511627776, 2) and data type float64")
+
+
+# config key -> (module, its function that would allocate the huge arrays, the key's section, the huge value)
+TOO_LARGE_TO_ALLOCATE = {
+    "hidden": (nn, "_init_weight", "trainer", [2**40]),
+    "samples": (datasets, "_two_classes", "dataset", 2**40),
+}
+
+
+@pytest.mark.parametrize("key", sorted(TOO_LARGE_TO_ALLOCATE))
+def test_config_too_large_to_allocate_is_one_error_line(key, run_dir, monkeypatch, capsys):
+    # Only the failed allocation is simulated: on a host that overcommits memory, the real one could be OOM-killed.
+    module, function, section, huge = TOO_LARGE_TO_ALLOCATE[key]
+    monkeypatch.setattr(module, function, _unable_to_allocate)
+    cfg_path, out = run_dir
+    cfg_path.write_text(json.dumps(_set(json.loads(cfg_path.read_text()), section, key, huge)))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert re.fullmatch(r"error: out of memory: Unable to allocate [^\n]*\n", capsys.readouterr().err)
     assert not out.exists()
 
 
