@@ -81,17 +81,22 @@ def from_csv(path: str | Path, label_column: str) -> Dataset:
         if label_column not in header:
             raise ValueError(f"CSV {path} has no column named {label_column!r}")
         label = header.index(label_column)
-        features, labels = [], []
+        features, labels, lines = [], [], []
         for row in filter(None, reader):
             if len(row) != len(header):
                 raise ValueError(f"CSV {path} line {reader.line_num}: {len(row)} cells for {len(header)} columns")
             where = f"CSV {path} line {reader.line_num}"
             features.append([_cell(float, v, where, header[i]) for i, v in enumerate(row) if i != label])
             labels.append(_cell(int, row[label], where, label_column))
+            lines.append(reader.line_num)
             if labels[-1] < 0:
                 raise ValueError(f"{where} column {label_column!r}: labels must be nonnegative, got {row[label]!r}")
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
+    if y.size and y.max() >= y.size:  # the largest label sizes the output layer
+        top = int(y.argmax())
+        where = f"CSV {path} line {lines[top]} column {label_column!r}"
+        raise ValueError(f"{where}: labels must be below the row count {y.size}, got {labels[top]}")
     return Dataset(X, y, num_classes=int(y.max()) + 1 if y.size else 0)
 
 

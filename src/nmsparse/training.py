@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import nn
+from . import nn, parallel
 from .errors import DivergenceError, FieldError
 from .masks import HardMask, SparsePattern, build_masks, fold
 from .schedule import Schedule, delta as schedule_delta
@@ -205,25 +205,36 @@ def sr_ste_step(
     the gradients are only read. Each weight array is updated in blocks of
     output rows of about ``UPDATE_BLOCK_BYTES``, each with one temporary;
     every element goes through the same operations whatever the block size.
+    Of two or more blocks, the worker thread may update every other one.
     """
     grads_w, grads_b = grads
     wd = float(config.weight_decay)
     decay = np.array([float(config.sr_weight), wd])  # indexed by the hard mask: 0 -> sr, 1 -> wd
+
+    def update_rows(i: int, bits: np.ndarray, blocks: list[slice]) -> None:
+        w, v, g = model.layers[i].weight, velocity.w[i], grads_w[i]
+        for r in blocks:
+            wr, vr = w[r], v[r]
+            update = np.take(decay, bits[r])
+            update *= wr
+            update += g[r]
+            vr *= config.momentum
+            vr += update
+            np.multiply(vr, lr, out=update)
+            wr -= update
+
     for i, layer in enumerate(model.layers):
         w = layer.weight
         dense = np.broadcast_to(np.uint8(1), w.shape)  # a dense layer keeps every weight, so all decay by wd
         bits = block_layout_inverse(masks[layer.name][0].bits, w.shape) if layer.name in masks else dense
         rows = max(1, UPDATE_BLOCK_BYTES * len(w) // w.nbytes)
-        for start in range(0, len(w), rows):
-            r = slice(start, start + rows)
-            wr, vr = w[r], velocity.w[i][r]
-            update = np.take(decay, bits[r])
-            update *= wr
-            update += grads_w[i][r]
-            vr *= config.momentum
-            vr += update
-            np.multiply(vr, lr, out=update)
-            wr -= update
+        blocks = [slice(start, start + rows) for start in range(0, len(w), rows)]
+        odd = parallel.submit(update_rows, i, bits, blocks[1::2]) if len(blocks) > 1 else None
+        try:
+            update_rows(i, bits, blocks if odd is None else blocks[::2])
+        finally:
+            if odd is not None:
+                odd.result()
         velocity.b[i] = config.momentum * velocity.b[i] + grads_b[i]
         layer.bias -= lr * velocity.b[i]
 

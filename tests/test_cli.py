@@ -381,6 +381,10 @@ MALFORMED_CONFIGS = {
         doc, tmp, "x,y,label\n0.5,1.0,0\n0.5,1.0,99999999999999999999\n",
         "{path} line 3 column 'label': expected an integer label, got '99999999999999999999'",
     ),
+    "csv_label_not_below_row_count": lambda doc, tmp: _csv_dataset(
+        doc, tmp, "x,y,label\n0.5,1.0,0\n0.5,1.0,100000\n",
+        "{path} line 3 column 'label': labels must be below the row count 2, got 100000",
+    ),
 }
 
 
@@ -394,6 +398,27 @@ def test_cli_malformed_config_is_one_error_line(case, run_dir, tmp_path, capsys)
     assert re.fullmatch(r"error: [^\n]*\n", err)
     assert named in err
     assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_train_bytes_do_not_depend_on_the_core_count(run_dir, tmp_path):
+    # unpinned, the 512x512 layer's kernel-axis query and every other update row block run on a
+    # worker thread; pinned to one CPU, they run on the caller
+    cfg_path, _ = run_dir
+    doc = _set(_set(json.loads(cfg_path.read_text()), "trainer", "hidden", [512, 512]), "trainer", "epochs", 2)
+    cfg_path.write_text(json.dumps({**doc, "out_dir": "run"}))  # the checkpoint records the out_dir
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    one_cpu = {min(os.sched_getaffinity(0))}
+    runs = []
+    for name, pin in (("all_cpus", None), ("one_cpu", lambda: os.sched_setaffinity(0, one_cpu))):
+        (tmp_path / name).mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "nmsparse", "train", "--config", str(cfg_path)],
+            capture_output=True, text=True, env=env, cwd=tmp_path / name, timeout=300, preexec_fn=pin,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append([(tmp_path / name / "run" / member).read_bytes() for member in ("metrics.csv", "checkpoint.maxq")])
+    assert runs[0] == runs[1]
 
 
 def _unable_to_allocate(*_):

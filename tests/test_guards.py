@@ -10,6 +10,7 @@ from nmsparse.datasets import Dataset, load_idx, read_idx
 from nmsparse.errors import DimensionError, FieldError
 from nmsparse.im2col import im2col
 from nmsparse.masks import (
+    WORKER_MIN_WEIGHTS,
     HardMask,
     SparsePattern,
     arg_bottom_per_block,
@@ -143,3 +144,21 @@ def test_public_guard_raises_its_error(case, tmp_path):
     with pytest.raises(error, match=re.escape(fragment)) as info:
         call(tmp_path)
     assert type(info.value) is error
+
+
+# build_masks argument -> a bad value for it
+BAD_MASK_ARGUMENTS = {"mode": "bogus", "ordering": "bogus", "delta": 1.5, "tau": 0.0}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_MASK_ARGUMENTS))
+def test_build_masks_raises_the_same_error_when_the_worker_thread_serves_the_layer(key):
+    errors = []
+    for dims in [(4, 8, 1, 1), (256, 128, 1, 1)]:
+        w = WeightTensor4(np.random.default_rng(0).normal(size=dims))
+        with pytest.raises(ValueError) as info:
+            build_masks(w, **{"pattern": P24, "tau": 0.1, "delta": 0.5, key: BAD_MASK_ARGUMENTS[key]})
+        errors.append((type(info.value), str(info.value)))
+    assert w.values.size >= WORKER_MIN_WEIGHTS
+    assert errors[0] == errors[1]
+    hard, soft = build_masks(w, P24, 0.1, 0.5)  # the worker is free for the next layer
+    assert soft.shape == hard.bits.shape == (256 * 32, 4)

@@ -384,6 +384,35 @@ def test_fit_final_weights_do_not_depend_on_the_update_block_size(block_bytes, m
     assert runs[0] == runs[1]
 
 
+def test_sr_ste_step_on_many_blocks_equals_a_one_thread_loop_over_them():
+    # a 1024x1024 layer holds 16 row blocks; on more than one CPU every other one is updated on a worker thread
+    rng = np.random.default_rng(26)
+    cfg = small_config(sr_ste_weight=3e-3, weight_decay=2e-4)
+    model = fresh_model(seed=27, sizes=(2, 1024, 1024, 1024, 2))
+    masks = training.compute_step_masks(model, cfg, 0.6)
+    grads_w = [rng.normal(size=l.weight.shape) for l in model.layers]
+    grads_b = [rng.normal(size=l.bias.shape) for l in model.layers]
+    velocity = training.Velocity(
+        [rng.normal(size=l.weight.shape) for l in model.layers], [np.zeros(len(l.bias)) for l in model.layers]
+    )
+    expected_w, expected_v = [l.weight.copy() for l in model.layers], [v.copy() for v in velocity.w]
+    decay = np.array([cfg.sr_weight, cfg.weight_decay])
+    for layer, w, v, g in zip(model.layers, expected_w, expected_v, grads_w):
+        dense = np.ones(w.shape, np.uint8)
+        bits = block_layout_inverse(masks[layer.name][0].bits, w.shape) if layer.name in masks else dense
+        rows = max(1, training.UPDATE_BLOCK_BYTES * len(w) // w.nbytes)
+        for start in range(0, len(w), rows):
+            r = slice(start, start + rows)
+            update = np.take(decay, bits[r]) * w[r] + g[r]
+            v[r] = v[r] * cfg.momentum + update
+            w[r] -= v[r] * 0.05
+    assert model.layers[1].weight.nbytes // training.UPDATE_BLOCK_BYTES == 16
+    training.sr_ste_step(model, (grads_w, grads_b), masks, cfg, 0.05, velocity)
+    for i, layer in enumerate(model.layers):
+        assert layer.weight.tobytes() == expected_w[i].tobytes(), layer.name
+        assert velocity.w[i].tobytes() == expected_v[i].tobytes(), layer.name
+
+
 def test_sr_ste_step_leaves_gradients_unchanged():
     rng = np.random.default_rng(24)
     cfg = small_config()
