@@ -334,17 +334,17 @@ def build_masks(
     """One full mask pass for a layer: hard mask, both axis queries, soft mask.
 
     Both axis queries read ``w.magnitudes``, one |w| pass. From
-    ``WORKER_MIN_WEIGHTS`` weights the kernel-axis query may run on the worker
+    ``WORKER_MIN_WEIGHTS`` weights the kernel-axis query runs on the worker
     thread, with the same bytes and the same error for a bad argument. For a
     1x1 layer, whose filter scores' block layout is a view of their buffer,
     the soft mask is built in that buffer.
     """
+    bm = rearrange_to_blocks(w, pattern.m)
     if mode not in MODES:
         raise ValueError(f"unknown mask mode {mode!r}")
     w.magnitudes  # computed here, so the worker only reads it
     kernel = parallel.submit(kernel_axis_scores, w, pattern, tau) if w.values.size >= WORKER_MIN_WEIGHTS else None
     try:
-        bm = rearrange_to_blocks(w, pattern.m)
         if mode == "block_width":
             hard = hard_mask_top_width(bm, kept_width_from_delta(delta, pattern))
         else:

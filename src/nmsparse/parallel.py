@@ -4,17 +4,14 @@ hand part of their numpy work to, and the kernels' worker count.
 ``perfbench/run.py`` stamps ``max_workers()`` into each run's environment
 record as ``spmm_workers``.
 """
-import os
 from concurrent.futures import Future, ThreadPoolExecutor
 
 _WORKER = ThreadPoolExecutor(max_workers=1)  # starts its thread on the first submit
 
 
-def submit(fn, /, *args) -> Future | None:
-    """``fn(*args)`` on the worker thread, as a future the caller must read; None, running
-    nothing, when the process may use one CPU only, where the hand-off only adds time."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    return _WORKER.submit(fn, *args) if len(cpus) > 1 else None
+def submit(fn, /, *args) -> Future:
+    """``fn(*args)`` on the worker thread, as a future the caller must read."""
+    return _WORKER.submit(fn, *args)
 
 
 def max_workers() -> int:

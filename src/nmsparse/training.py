@@ -205,7 +205,7 @@ def sr_ste_step(
     the gradients are only read. Each weight array is updated in blocks of
     output rows of about ``UPDATE_BLOCK_BYTES``, each with one temporary;
     every element goes through the same operations whatever the block size.
-    Of two or more blocks, the worker thread may update every other one.
+    Of two or more blocks, the worker thread updates every other one.
     """
     grads_w, grads_b = grads
     wd = float(config.weight_decay)
@@ -234,7 +234,9 @@ def sr_ste_step(
             update_rows(i, bits, blocks if odd is None else blocks[::2])
         finally:
             if odd is not None:
-                odd.result()
+                odd.exception()  # waits; an error raised above wins over the worker's
+        if odd is not None:
+            odd.result()
         velocity.b[i] = config.momentum * velocity.b[i] + grads_b[i]
         layer.bias -= lr * velocity.b[i]
 

@@ -402,19 +402,22 @@ def test_cli_malformed_config_is_one_error_line(case, run_dir, tmp_path, capsys)
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_train_bytes_do_not_depend_on_the_core_count(run_dir, tmp_path):
-    # unpinned, the 512x512 layer's kernel-axis query and every other update row block run on a
-    # worker thread; pinned to one CPU, they run on the caller
+    # the 512x512 layer's kernel-axis query and every other update row block run on a worker thread,
+    # which shares one CPU with the caller in the pinned run
     cfg_path, _ = run_dir
     doc = _set(_set(json.loads(cfg_path.read_text()), "trainer", "hidden", [512, 512]), "trainer", "epochs", 2)
     cfg_path.write_text(json.dumps({**doc, "out_dir": "run"}))  # the checkpoint records the out_dir
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     one_cpu = {min(os.sched_getaffinity(0))}
     runs = []
-    for name, pin in (("all_cpus", None), ("one_cpu", lambda: os.sched_setaffinity(0, one_cpu))):
+    for name, cpus in (("all_cpus", os.sched_getaffinity(0)), ("one_cpu", one_cpu)):
         (tmp_path / name).mkdir()
+        # the child pins itself: the pytest process already runs the worker thread, so no preexec_fn
+        pin = f"import os, runpy; os.sched_setaffinity(0, {cpus}); "
+        pin += "runpy.run_module('nmsparse', run_name='__main__', alter_sys=True)"
         proc = subprocess.run(
-            [sys.executable, "-m", "nmsparse", "train", "--config", str(cfg_path)],
-            capture_output=True, text=True, env=env, cwd=tmp_path / name, timeout=300, preexec_fn=pin,
+            [sys.executable, "-c", pin, "train", "--config", str(cfg_path)],
+            capture_output=True, text=True, env=env, cwd=tmp_path / name, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         runs.append([(tmp_path / name / "run" / member).read_bytes() for member in ("metrics.csv", "checkpoint.maxq")])

@@ -146,19 +146,28 @@ def test_public_guard_raises_its_error(case, tmp_path):
     assert type(info.value) is error
 
 
-# build_masks argument -> a bad value for it
-BAD_MASK_ARGUMENTS = {"mode": "bogus", "ordering": "bogus", "delta": 1.5, "tau": 0.0}
+# case -> (c_in, bad build_masks arguments, error, message fragment); several bad arguments pin which check runs first
+BAD_MASK_CALLS = {
+    "mode": (128, {"mode": "bogus"}, ValueError, "unknown mask mode 'bogus'"),
+    "ordering": (128, {"ordering": "bogus"}, ValueError, "unknown ordering 'bogus'"),
+    "delta": (128, {"delta": 1.5}, ValueError, "delta must lie in [0, 1], got 1.5"),
+    "tau": (128, {"tau": 0.0}, ValueError, "temperature must be positive, got 0.0"),
+    "c_in_before_mode": (130, {"mode": "bogus"}, DimensionError, "block width 4 does not divide c_in=130"),
+    "mode_before_delta": (128, {"mode": "bogus", "delta": 1.5}, ValueError, "unknown mask mode 'bogus'"),
+    "delta_before_tau": (128, {"delta": 1.5, "tau": 0.0}, ValueError, "delta must lie in [0, 1]"),
+    "ordering_before_tau": (128, {"ordering": "bogus", "tau": 0.0}, ValueError, "unknown ordering 'bogus'"),
+}
 
 
-@pytest.mark.parametrize("key", sorted(BAD_MASK_ARGUMENTS))
-def test_build_masks_raises_the_same_error_when_the_worker_thread_serves_the_layer(key):
-    errors = []
-    for dims in [(4, 8, 1, 1), (256, 128, 1, 1)]:
-        w = WeightTensor4(np.random.default_rng(0).normal(size=dims))
-        with pytest.raises(ValueError) as info:
-            build_masks(w, **{"pattern": P24, "tau": 0.1, "delta": 0.5, key: BAD_MASK_ARGUMENTS[key]})
-        errors.append((type(info.value), str(info.value)))
+@pytest.mark.parametrize("case", sorted(BAD_MASK_CALLS))
+def test_build_masks_raises_the_same_error_when_the_worker_thread_serves_the_layer(case):
+    c_in, bad, error, fragment = BAD_MASK_CALLS[case]
+    for c_out in (4, 256):  # 256 rows put the layer at or above WORKER_MIN_WEIGHTS
+        w = WeightTensor4(np.random.default_rng(0).normal(size=(c_out, c_in, 1, 1)))
+        with pytest.raises(error, match=re.escape(fragment)) as info:
+            build_masks(w, **{"pattern": P24, "tau": 0.1, "delta": 0.5, **bad})
+        assert type(info.value) is error
     assert w.values.size >= WORKER_MIN_WEIGHTS
-    assert errors[0] == errors[1]
+    w = WeightTensor4(np.random.default_rng(0).normal(size=(256, 128, 1, 1)))
     hard, soft = build_masks(w, P24, 0.1, 0.5)  # the worker is free for the next layer
     assert soft.shape == hard.bits.shape == (256 * 32, 4)

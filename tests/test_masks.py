@@ -619,7 +619,7 @@ def test_build_masks_bit_identical_across_runs():
 @pytest.mark.parametrize("dims", [(1024, 1024, 1, 1), (256, 256, 1, 1), (128, 64, 3, 3), (32, 16, 3, 3)])
 @pytest.mark.parametrize("pattern", [SparsePattern(2, 4), SparsePattern(2, 8), SparsePattern(1, 16)], ids=str)
 def test_build_masks_equals_the_sequential_queries_bit_for_bit(dims, pattern):
-    # from 2**15 weights, on more than one CPU, build_masks runs the kernel-axis query on a worker thread
+    # from 2**15 weights, build_masks runs the kernel-axis query on a worker thread
     values = np.random.default_rng([23, *dims, pattern.m]).normal(size=dims)
     for delta, mode in itertools.product((0.0, 0.6, 1.0), ("block_percentage", "block_width")):
         hard, soft = build_masks(WeightTensor4(values), pattern, 0.1, delta, mode=mode)

@@ -385,7 +385,7 @@ def test_fit_final_weights_do_not_depend_on_the_update_block_size(block_bytes, m
 
 
 def test_sr_ste_step_on_many_blocks_equals_a_one_thread_loop_over_them():
-    # a 1024x1024 layer holds 16 row blocks; on more than one CPU every other one is updated on a worker thread
+    # a 1024x1024 layer holds 16 row blocks; every other one is updated on a worker thread
     rng = np.random.default_rng(26)
     cfg = small_config(sr_ste_weight=3e-3, weight_decay=2e-4)
     model = fresh_model(seed=27, sizes=(2, 1024, 1024, 1024, 2))
