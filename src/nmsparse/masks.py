@@ -343,16 +343,15 @@ def build_masks(
     if mode not in MODES:
         raise ValueError(f"unknown mask mode {mode!r}")
     w.magnitudes  # computed here, so the worker only reads it
-    kernel = parallel.submit(kernel_axis_scores, w, pattern, tau) if w.values.size >= WORKER_MIN_WEIGHTS else None
-    try:
+
+    def hard_and_filter():
         if mode == "block_width":
             hard = hard_mask_top_width(bm, kept_width_from_delta(delta, pattern))
         else:
             hard = hard_mask(bm, pattern, delta, ordering)
-        sf = filter_axis_scores(w, pattern, tau)
-    finally:
-        if kernel is not None:
-            kernel.exception()  # waits; an error raised above wins over the worker's
-    sk = kernel_axis_scores(w, pattern, tau) if kernel is None else kernel.result()
+        return hard, filter_axis_scores(w, pattern, tau)
+
+    inline = w.values.size < WORKER_MIN_WEIGHTS
+    sk, (hard, sf) = parallel.both(lambda: kernel_axis_scores(w, pattern, tau), hard_and_filter, inline)
     out = block_layout(sf, pattern.m) if w.dims[2:] == (1, 1) else None  # a view of sf's buffer
     return hard, soft_mask(hard, sf, sk, out=out)

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from . import parallel
 from .errors import DimensionError, PatternViolationError
 from .im2col import im2col
 from .masks import SparsePattern
@@ -234,6 +235,14 @@ def _csr_matrix(c: CompressedNM) -> sparse.csr_matrix:
     return sparse.csr_matrix(c.operator())
 
 
+# Multiply-adds (rows*inner*cols) from which spmm splits its GEMM by output rows with the worker
+# thread. Median/p90 ms, 2 ms idle before each call, inline -> split (2-core x86, 1-thread BLAS):
+#   256x256x64 (2**22) 0.46/0.52 -> 0.59/0.68 | 256x512x64 (2**23) 0.62/0.76 -> 0.76/0.85
+#   512x512x64 (2**24) 1.26/1.70 -> 1.05/1.18 | 1024x1024x64 (2**26) 5.08/5.37 -> 2.85/3.16
+#   128x576x1024 (2**26.2) 3.36/4.19 -> 2.49/2.77; another run had 2**23 at 0.71/0.83 -> 0.65/0.80
+SPLIT_MIN_MULADDS = 2**24
+
+
 def spmm(c: CompressedNM, x: np.ndarray) -> np.ndarray:
     """Multiply the compressed tensor, viewed as (c_out, c_in*k_h*k_w), by x.
 
@@ -241,6 +250,8 @@ def spmm(c: CompressedNM, x: np.ndarray) -> np.ndarray:
     :meth:`CompressedNM.operator` at every pattern: without N:M hardware
     support, a BLAS GEMM beats a scipy CSR product of the nonzero weights
     wherever n/m >= 1/4 (the README's kernel table has the measurements).
+    From ``SPLIT_MIN_MULADDS`` multiply-adds the worker thread computes half the output rows; the
+    result equals the one-thread product within rounding.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
@@ -248,7 +259,12 @@ def spmm(c: CompressedNM, x: np.ndarray) -> np.ndarray:
     inner = c.matrix_shape[1]
     if x.shape[0] != inner:
         raise DimensionError(f"inner dims do not agree: weight {inner}, input {x.shape[0]}")
-    return c.operator() @ x
+    op = c.operator()
+    if len(op) * x.size < SPLIT_MIN_MULADDS:
+        return op @ x
+    out, h = np.empty((len(op), *x.shape[1:])), len(op) // 2
+    parallel.both(lambda: np.matmul(op[:h], x, out=out[:h]), lambda: np.matmul(op[h:], x, out=out[h:]))
+    return out
 
 
 def conv2d_sparse(

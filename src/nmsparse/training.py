@@ -229,14 +229,7 @@ def sr_ste_step(
         bits = block_layout_inverse(masks[layer.name][0].bits, w.shape) if layer.name in masks else dense
         rows = max(1, UPDATE_BLOCK_BYTES * len(w) // w.nbytes)
         blocks = [slice(start, start + rows) for start in range(0, len(w), rows)]
-        odd = parallel.submit(update_rows, i, bits, blocks[1::2]) if len(blocks) > 1 else None
-        try:
-            update_rows(i, bits, blocks if odd is None else blocks[::2])
-        finally:
-            if odd is not None:
-                odd.exception()  # waits; an error raised above wins over the worker's
-        if odd is not None:
-            odd.result()
+        parallel.both(lambda: update_rows(i, bits, blocks[1::2]), lambda: update_rows(i, bits, blocks[::2]), len(blocks) == 1)
         velocity.b[i] = config.momentum * velocity.b[i] + grads_b[i]
         layer.bias -= lr * velocity.b[i]
 

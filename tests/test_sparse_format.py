@@ -1,14 +1,20 @@
 import math
 import struct
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.signal import correlate2d
 
+from nmsparse import sparse_format
 from nmsparse.errors import DimensionError, PatternViolationError
+from nmsparse.im2col import im2col
 from nmsparse.masks import SparsePattern, build_masks
 from nmsparse.sparse_format import (
+    SPLIT_MIN_MULADDS,
     CompressedNM,
     _csr_matrix,
     bench,
@@ -414,9 +420,16 @@ def test_spmm_dimension_mismatch():
     c_in_blocks=st.integers(1, 3),
     cols=st.sampled_from([None, 1, 6]),
     seed=st.integers(0, 2**32 - 1),
+    split_all=st.booleans(),
 )
-def test_csr_product_and_spmm_agree(nm, kernel, c_out, c_in_blocks, cols, seed):
-    # spmm multiplies by the dense matrix; this keeps bench's CSR comparison point checked
+# at the real threshold: 256x1024x64 is the first product split, 255 rows stay inline, 1023 and 513 rows split
+@example(nm=(2, 4), kernel=(1, 1), c_out=256, c_in_blocks=256, cols=64, seed=0, split_all=False)
+@example(nm=(2, 4), kernel=(1, 1), c_out=255, c_in_blocks=256, cols=64, seed=1, split_all=False)
+@example(nm=(2, 4), kernel=(1, 1), c_out=1023, c_in_blocks=256, cols=63, seed=2, split_all=False)
+@example(nm=(1, 16), kernel=(1, 1), c_out=513, c_in_blocks=64, cols=63, seed=3, split_all=False)
+def test_csr_product_and_spmm_agree(nm, kernel, c_out, c_in_blocks, cols, seed, split_all):
+    # spmm multiplies by the dense matrix; this keeps bench's CSR comparison point checked.
+    # split_all lowers the split threshold so that small products, vectors and single rows split too.
     rng = np.random.default_rng(seed)
     pattern = SparsePattern(*nm)
     dims = (c_out, pattern.m * c_in_blocks, *kernel)
@@ -427,9 +440,42 @@ def test_csr_product_and_spmm_agree(nm, kernel, c_out, c_in_blocks, cols, seed):
     dense = c.operator()
     np.testing.assert_array_equal(dense, decompress(c).values.reshape(c.matrix_shape))
     assert c.operator() is dense
-    got, csr = spmm(c, x), _csr_matrix(c) @ x
+    with mock.patch.object(sparse_format, "SPLIT_MIN_MULADDS", 1 if split_all else SPLIT_MIN_MULADDS):
+        got = spmm(c, x)
+    csr, scale = _csr_matrix(c) @ x, 1e-12 * (np.abs(dense) @ np.abs(x))
     assert got.shape == csr.shape == (c_out, *x.shape[1:])
-    assert (np.abs(got - csr) <= 1e-12 * (np.abs(dense) @ np.abs(x))).all()
+    assert (np.abs(got - csr) <= scale).all()
+    assert (np.abs(got - dense @ x) <= scale).all()  # not bit-equal across the split on every BLAS kernel
+
+
+def test_user_threads_calling_spmm_at_once_each_get_their_product():
+    rng = np.random.default_rng(13)
+    pattern = SparsePattern(2, 4)
+    c = compress(masked_tensor(rng, (256, 1024, 1, 1), pattern), pattern)  # 256x1024x64 products split
+    xs = [rng.uniform(-1.0, 1.0, size=(1024, 64)) for _ in range(4)]  # more threads than cores
+    got = [[] for _ in xs]
+
+    def serve(k):
+        for _ in range(10):
+            got[k].append(spmm(c, xs[k]))
+
+    threads = [threading.Thread(target=serve, args=(k,)) for k in range(len(xs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert 256 * xs[0].size >= SPLIT_MIN_MULADDS
+    for x, outs in zip(xs, got):
+        want = c.operator() @ x
+        assert len(outs) == 10
+        for out in outs:
+            assert (np.abs(out - want) <= 1e-12 * (np.abs(c.operator()) @ np.abs(x))).all()
 
 
 def test_spmm_passes_a_stored_nan_through_like_csr():
@@ -444,15 +490,24 @@ def test_spmm_passes_a_stored_nan_through_like_csr():
 def test_conv2d_sparse_matches_dense_conv():
     rng = np.random.default_rng(7)
     pattern = SparsePattern(2, 4)
-    w = masked_tensor(rng, (8, 8, 3, 3), pattern)
-    c = compress(w, pattern)
-    x = rng.uniform(-1.0, 1.0, size=(8, 10, 10))
-    dense_w = decompress(c).values
-    for stride, padding in ((1, 0), (1, 1), (2, 1)):
-        got = conv2d_sparse(c, x, stride=stride, padding=padding)
-        expected = dense_conv_oracle(dense_w, x, stride, padding)
-        assert got.shape == expected.shape
-        assert np.abs(got - expected).max() <= 1e-5
+    shapes = (
+        ((8, 8, 3, 3), 10, ((1, 0), (1, 1), (2, 1))),
+        ((128, 64, 3, 3), 32, ((1, 1),)),  # perfbench's conv probe: a 128x576x1024 product, split in two
+    )
+    for dims, side, cases in shapes:
+        w = masked_tensor(rng, dims, pattern)
+        c = compress(w, pattern)
+        x = rng.uniform(-1.0, 1.0, size=(dims[1], side, side))
+        dense_w = decompress(c).values
+        flat_w = dense_w.reshape(dims[0], -1)
+        for stride, padding in cases:
+            got = conv2d_sparse(c, x, stride=stride, padding=padding)
+            expected = dense_conv_oracle(dense_w, x, stride, padding)
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-5
+            cols, _ = im2col(x[None], dims[2], dims[3], stride, padding)  # against the dense im2col GEMM too
+            gemm = flat_w @ cols[0]
+            assert (np.abs(got.reshape(gemm.shape) - gemm) <= 1e-12 * (np.abs(flat_w) @ np.abs(cols[0]))).all()
 
 
 def test_conv2d_sparse_channel_mismatch():
