@@ -75,22 +75,18 @@ def save_folded_archive(path: str | Path, folded: FoldedModel) -> None:
 def load_folded_archive(path: str | Path) -> FoldedModel:
     """Read a folded archive under the ``artifact_reader`` contract."""
     with artifact_reader(path, "folded archive") as fh, np.load(fh) as data:
-        return _read_folded(data)
-
-
-def _read_folded(data) -> FoldedModel:
-    manifest = json.loads(bytes(data["manifest"]).decode())
-    _check_header(manifest, "nmsparse-folded", "folded-weight archive")
-    layers = []
-    for entry in manifest["layers"]:
-        weight, bias = data[f"w_{entry['name']}"], data[f"b_{entry['name']}"]
-        _check_record(entry, weight.shape, bias.shape)
-        if not np.isfinite(bias).all():
-            raise ValueError(f"layer {entry['name']!r}: bias holds NaN or Inf")
-        layers.append(FoldedLayer(entry["name"], entry["kind"], WeightTensor4(weight), bias,
-                                  entry["eligible"], entry["stride"], entry["padding"]))
-    pattern = manifest.get("pattern")
-    return FoldedModel(layers, None if pattern is None else SparsePattern.parse(pattern))
+        manifest = json.loads(bytes(data["manifest"]).decode())
+        _check_header(manifest, "nmsparse-folded", "folded-weight archive")
+        layers = []
+        for entry in manifest["layers"]:
+            weight, bias = data[f"w_{entry['name']}"], data[f"b_{entry['name']}"]
+            _check_record(entry, weight.shape, bias.shape)
+            if not np.isfinite(bias).all():
+                raise ValueError(f"layer {entry['name']!r}: bias holds NaN or Inf")
+            layers.append(FoldedLayer(entry["name"], entry["kind"], WeightTensor4(weight), bias,
+                                      entry["eligible"], entry["stride"], entry["padding"]))
+        pattern = manifest.get("pattern")
+        return FoldedModel(layers, None if pattern is None else SparsePattern.parse(pattern))
 
 
 def _check_header(manifest: dict, fmt: str, what: str) -> None:
@@ -133,18 +129,14 @@ def _npy_bytes(a: np.ndarray) -> bytes:
 def load_compressed_archive(path: str | Path) -> list[tuple[dict, CompressedNM | np.ndarray]]:
     """(manifest entry, CompressedNM or dense f32 array) per layer, under the ``artifact_reader`` contract."""
     with artifact_reader(path, "compressed archive") as fh, zipfile.ZipFile(fh) as zf:
-        return _read_compressed(zf)
-
-
-def _read_compressed(zf: zipfile.ZipFile) -> list[tuple[dict, CompressedNM | np.ndarray]]:
-    manifest = json.loads(zf.read("manifest.json").decode())
-    _check_header(manifest, "nmsparse-compressed", "compressed archive")
-    out = []
-    for entry in manifest["layers"]:
-        blob = zf.read(entry["file"])
-        zf.getinfo(entry["bias_file"])  # present; callers that serve the layer read it themselves
-        payload = CompressedNM.from_bytes(blob) if entry["file"].endswith(".nmsp") else np.load(io.BytesIO(blob))
-        shape = payload.origin_dims if isinstance(payload, CompressedNM) else payload.shape
-        _check_record(entry, shape, None)
-        out.append((entry, payload))
-    return out
+        manifest = json.loads(zf.read("manifest.json").decode())
+        _check_header(manifest, "nmsparse-compressed", "compressed archive")
+        out = []
+        for entry in manifest["layers"]:
+            blob = zf.read(entry["file"])
+            zf.getinfo(entry["bias_file"])  # present; callers that serve the layer read it themselves
+            payload = CompressedNM.from_bytes(blob) if entry["file"].endswith(".nmsp") else np.load(io.BytesIO(blob))
+            shape = payload.origin_dims if isinstance(payload, CompressedNM) else payload.shape
+            _check_record(entry, shape, None)
+            out.append((entry, payload))
+        return out

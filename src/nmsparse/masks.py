@@ -282,38 +282,35 @@ def importance_scores(v: np.ndarray, params: ImportanceParams) -> np.ndarray:
 
 
 def filter_axis_scores(w: WeightTensor4, pattern: SparsePattern, tau: float) -> np.ndarray:
-    """Importance of every weight within its output filter's flattened slice."""
+    """Importance of every weight within its output filter's flattened slice, in (g, m) block layout."""
     c_out, c_in, _, _ = w.dims
     if c_in % pattern.m != 0:
         raise DimensionError(f"pattern {pattern} does not divide c_in={c_in}")
     mags = w.magnitudes.reshape(c_out, -1)
-    return _row_scores(mags, pattern.sparse_rate, tau).reshape(w.dims)
+    return block_layout(_row_scores(mags, pattern.sparse_rate, tau).reshape(w.dims), pattern.m)
 
 
 def kernel_axis_scores(w: WeightTensor4, pattern: SparsePattern, tau: float) -> np.ndarray:
-    """Importance of every weight within its spatial kernel position's slice."""
+    """Importance of every weight within its spatial kernel position's slice, in (g, m) block layout."""
     c_out, c_in, k_h, k_w = w.dims
     if c_in % pattern.m != 0:
         raise DimensionError(f"pattern {pattern} does not divide c_in={c_in}")
     # group (k1, k2): one vector of length c_out*c_in per kernel position; a view for 1x1
     mags = w.magnitudes.transpose(2, 3, 0, 1).reshape(k_h * k_w, -1)
     scores = _row_scores(mags, pattern.sparse_rate, tau)
-    return scores.reshape(k_h, k_w, c_out, c_in).transpose(2, 3, 0, 1)
+    return block_layout(scores.reshape(k_h, k_w, c_out, c_in).transpose(2, 3, 0, 1), pattern.m)
 
 
 def soft_mask(hard: HardMask, sf: np.ndarray, sk: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
-    """The (g, m) f64 soft mask b * (1 + filter scores + kernel scores) in block layout.
+    """The (g, m) f64 soft mask b * (1 + filter scores + kernel scores) from (g, m) scores.
 
-    Written to ``out`` when given, which may be the block layout of ``sf``
-    itself; otherwise to a new array.
+    Written to ``out`` when given, which may be ``sf`` itself; otherwise to a
+    new array.
     """
-    if sf.shape != sk.shape:
-        raise DimensionError(f"axis score shapes differ: {sf.shape} vs {sk.shape}")
-    if sf.size != hard.bits.size:
-        raise DimensionError(f"axis scores hold {sf.size} entries, mask needs {hard.bits.size}")
-    m = hard.bits.shape[1]
-    soft = np.add(block_layout(sf, m), 1.0, out=out)
-    soft += block_layout(sk, m)
+    if not sf.shape == sk.shape == hard.bits.shape:
+        raise DimensionError(f"axis scores {sf.shape} and {sk.shape} do not match the mask's {hard.bits.shape}")
+    soft = np.add(sf, 1.0, out=out)
+    soft += sk
     soft *= hard.bits
     return soft
 
@@ -335,9 +332,8 @@ def build_masks(
 
     Both axis queries read ``w.magnitudes``, one |w| pass. From
     ``WORKER_MIN_WEIGHTS`` weights the kernel-axis query runs on the worker
-    thread, with the same bytes and the same error for a bad argument. For a
-    1x1 layer, whose filter scores' block layout is a view of their buffer,
-    the soft mask is built in that buffer.
+    thread, with the same bytes and the same error for a bad argument. The
+    soft mask is built in the filter scores' buffer.
     """
     bm = rearrange_to_blocks(w, pattern.m)
     if mode not in MODES:
@@ -353,5 +349,4 @@ def build_masks(
 
     inline = w.values.size < WORKER_MIN_WEIGHTS
     sk, (hard, sf) = parallel.both(lambda: kernel_axis_scores(w, pattern, tau), hard_and_filter, inline)
-    out = block_layout(sf, pattern.m) if w.dims[2:] == (1, 1) else None  # a view of sf's buffer
-    return hard, soft_mask(hard, sf, sk, out=out)
+    return hard, soft_mask(hard, sf, sk, out=sf)

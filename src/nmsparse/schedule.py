@@ -49,9 +49,7 @@ def delta(t: float, sched: Schedule) -> float:
         return 0.0
     x = (t - sched.t_i) / (sched.t_f - sched.t_i)
     if sched.kind == "cubic":
-        d = 1.0 - (1.0 - x) ** 3
-    elif sched.kind == "linear":
-        d = x
-    else:
-        d = 1.0 - 0.5 * (1.0 + math.cos(math.pi * x))
-    return min(1.0, max(0.0, d))
+        return 1.0 - (1.0 - x) ** 3
+    if sched.kind == "linear":
+        return x
+    return 1.0 - 0.5 * (1.0 + math.cos(math.pi * x))

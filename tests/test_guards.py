@@ -80,7 +80,7 @@ GUARDS = {
     "masks_soft_mask_size": (
         lambda _: soft_mask(HardMask(np.ones((2, 4))), np.ones((1, 4, 1, 1)), np.ones((1, 4, 1, 1))),
         DimensionError,
-        "axis scores hold 4 entries, mask needs 8",
+        "axis scores (1, 4, 1, 1) and (1, 4, 1, 1) do not match the mask's (2, 4)",
     ),
     "masks_build_masks_mode": (
         lambda _: build_masks(WeightTensor4(np.ones((2, 4, 1, 1))), P24, 0.1, 0.5, mode="bogus"),

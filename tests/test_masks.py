@@ -26,7 +26,14 @@ from nmsparse.masks import (
     soft_mask,
 )
 from nmsparse.schedule import Schedule, delta as schedule_delta
-from nmsparse.tensors import BlockMatrix, WeightTensor4, block_l1_norms, block_layout, rearrange_to_blocks
+from nmsparse.tensors import (
+    BlockMatrix,
+    WeightTensor4,
+    block_l1_norms,
+    block_layout,
+    block_layout_inverse,
+    rearrange_to_blocks,
+)
 
 
 def bm_of(rows, dims=None):
@@ -409,7 +416,7 @@ AXIS_ORACLE_CASES = [
 
 
 def test_axis_scores_match_per_vector_composition():
-    """Filter and kernel scores equal importance_scores on every slice, bit for bit."""
+    """(g, m) filter and kernel scores, put back in 4D, equal importance_scores on every slice, bit for bit."""
     rng = np.random.default_rng(10)
     tau = 0.1
     for dims, pattern, kind in AXIS_ORACLE_CASES:
@@ -418,14 +425,17 @@ def test_axis_scores_match_per_vector_composition():
         else:
             w = WeightTensor4(rng.normal(size=dims))
         params = ImportanceParams(pattern.sparse_rate, tau)
-        fscores = filter_axis_scores(w, pattern, tau)
-        assert fscores.shape == w.dims
+        blocks = (w.values.size // pattern.m, pattern.m)
+        fblocks = filter_axis_scores(w, pattern, tau)
+        assert fblocks.shape == blocks
+        fscores = block_layout_inverse(fblocks, w.dims)
         for i in range(w.dims[0]):
             np.testing.assert_array_equal(
                 fscores[i].reshape(-1), importance_scores(w.values[i].reshape(-1), params)
             )
-        kscores = kernel_axis_scores(w, pattern, tau)
-        assert kscores.shape == w.dims
+        kblocks = kernel_axis_scores(w, pattern, tau)
+        assert kblocks.shape == blocks
+        kscores = block_layout_inverse(kblocks, w.dims)
         for k1 in range(w.dims[2]):
             for k2 in range(w.dims[3]):
                 slice_ = w.values[:, :, k1, k2].reshape(-1)
